@@ -67,16 +67,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_decide(args) -> int:
+def _cmd_uniform(args) -> int:
     f = parse_formula(args.formula)
-    verdict = decide.decide_uniform_theorem(f, args.m, jobs=args.jobs, **_caps_kwargs(args))
-    _emit(decide.verdict_to_dict(verdict))
-    return 0
-
-
-def _cmd_sat(args) -> int:
-    f = parse_formula(args.formula)
-    verdict = decide.decide_uniform_satisfiable(f, args.m, jobs=args.jobs, **_caps_kwargs(args))
+    procedure = decide.decide_uniform_satisfiable if args.command == "sat" else decide.decide_uniform_theorem
+    verdict = procedure(f, args.m, jobs=args.jobs, **_caps_kwargs(args))
     _emit(decide.verdict_to_dict(verdict))
     return 0
 
@@ -188,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", type=int, default=0)
     p.add_argument("--agent")
 
-    for name, func, help_text in (
-        ("decide", _cmd_decide, "decide theoremhood for the uniform logic"),
-        ("sat", _cmd_sat, "decide satisfiability for the uniform logic"),
+    for name, help_text in (
+        ("decide", "decide theoremhood for the uniform logic"),
+        ("sat", "decide satisfiability for the uniform logic"),
     ):
-        p = add(name, func, help_text)
+        p = add(name, _cmd_uniform, help_text)
         p.add_argument("--m", type=int, required=True, help="memory length")
         p.add_argument("--formula", required=True)
         p.add_argument("--max-atoms", type=int, dest="max_atoms")

@@ -16,7 +16,7 @@ target) that :func:`check_certificate` re-evaluates independently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from itertools import combinations_with_replacement
 from math import factorial
@@ -80,26 +80,10 @@ def decide_uniform_theorem(
 ) -> Verdict:
     """Complete theoremhood test for the uniform logic with memory length ``m``.
 
-    Builds the window frame of width ``reach(f, m) + 1`` and enumerates all
-    valuations of the formula's letters; Theorem iff ``f`` holds at world 0
-    under every one of them.  The first failing valuation (binary order)
-    becomes the countermodel.  Verdicts are Inconclusive when the window or
-    the valuation count would exceed the caps.
+    Theorem iff ``f`` holds at world 0 under every valuation of the window
+    frame; otherwise the first failing valuation is the countermodel.
     """
-    atom_cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
-    world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
-    letters = letters_of(f)
-    width = reach(f, m) + 1
-    if width > world_cap or len(letters) * width > atom_cap:
-        return Verdict(VerdictKind.INCONCLUSIVE, caps=SearchCaps(max_worlds=world_cap, max_atoms=atom_cap))
-    frame = UniformWindowFrame(width, m)
-    found = scan_valuations(
-        frame, letters, lambda ev: ~ev.table(f)[:, 0], chunk_bits=chunk_bits, jobs=jobs
-    )
-    if found is None:
-        return Verdict(VerdictKind.THEOREM)
-    model = Model(frame, decode_valuation(found, letters, width))
-    return Verdict(VerdictKind.NON_THEOREM, Countermodel(model, 0, f))
+    return _decide_uniform(f, m, False, max_atoms, max_worlds, chunk_bits, jobs)
 
 
 def decide_uniform_satisfiable(
@@ -112,6 +96,19 @@ def decide_uniform_satisfiable(
     jobs: int = 1,
 ) -> Verdict:
     """Satisfiability at world 0 of some uniform window model; dual to theoremhood."""
+    return _decide_uniform(f, m, True, max_atoms, max_worlds, chunk_bits, jobs)
+
+
+def _decide_uniform(
+    f: Formula, m: int, want: bool, max_atoms: Optional[int], max_worlds: Optional[int], chunk_bits: int, jobs: int
+) -> Verdict:
+    """Search for a valuation giving ``f`` the value ``want`` at world 0.
+
+    Builds the window frame of width ``reach(f, m) + 1`` and enumerates all
+    valuations of the formula's letters in binary order; the first hit
+    becomes the certificate.  Verdicts are Inconclusive when the window or
+    the valuation count would exceed the caps.
+    """
     atom_cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
     letters = letters_of(f)
@@ -119,13 +116,16 @@ def decide_uniform_satisfiable(
     if width > world_cap or len(letters) * width > atom_cap:
         return Verdict(VerdictKind.INCONCLUSIVE, caps=SearchCaps(max_worlds=world_cap, max_atoms=atom_cap))
     frame = UniformWindowFrame(width, m)
-    found = scan_valuations(
-        frame, letters, lambda ev: ev.table(f)[:, 0], chunk_bits=chunk_bits, jobs=jobs
-    )
+
+    def hits(ev):
+        column = ev.table(f)[:, 0]
+        return column if want else ~column
+
+    found = scan_valuations(frame, letters, hits, chunk_bits=chunk_bits, jobs=jobs)
     if found is None:
-        return Verdict(VerdictKind.UNSATISFIABLE)
+        return Verdict(VerdictKind.UNSATISFIABLE if want else VerdictKind.THEOREM)
     model = Model(frame, decode_valuation(found, letters, width))
-    return Verdict(VerdictKind.SATISFIABLE, Countermodel(model, 0, f))
+    return Verdict(VerdictKind.SATISFIABLE if want else VerdictKind.NON_THEOREM, Countermodel(model, 0, f))
 
 
 def iter_lasso_frames(max_worlds: int, max_reach: int) -> Iterator[FiniteLassoFrame]:
@@ -232,12 +232,16 @@ def countermodel_from_dict(data: Mapping) -> Countermodel:
 
 
 def _caps_to_dict(caps: SearchCaps) -> dict:
-    out = {}
-    for key in ("max_worlds", "max_reach", "max_atoms"):
-        value = getattr(caps, key)
-        if value is not None:
-            out[key] = value
-    return out
+    return {key: value for key, value in asdict(caps).items() if value is not None}
+
+
+def _caps_from_dict(data) -> SearchCaps:
+    if not isinstance(data, Mapping):
+        raise ValueError("caps must be an object")
+    unknown = sorted(set(data) - {f.name for f in fields(SearchCaps)})
+    if unknown:
+        raise ValueError(f"unknown caps keys: {', '.join(unknown)}")
+    return SearchCaps(**data)
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:
@@ -255,7 +259,7 @@ def verdict_from_dict(data: Mapping) -> Verdict:
     return Verdict(
         kind,
         countermodel_from_dict(cert) if cert else None,
-        SearchCaps(**caps) if caps else None,
+        None if caps is None else _caps_from_dict(caps),
     )
 
 

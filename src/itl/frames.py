@@ -189,6 +189,8 @@ def frame_to_dict(frame: Frame) -> dict:
 def frame_from_dict(data: Mapping) -> Frame:
     kind = data.get("kind")
     if kind == "lasso":
+        if not isinstance(data["reach"], list):
+            raise FrameError("reach must be a list of lengths")
         return FiniteLassoFrame(int(data["worlds"]), int(data["loop"]), tuple(int(d) for d in data["reach"]))
     if kind == "uniform":
         return UniformWindowFrame(int(data["worlds"]), int(data["measure"]))
@@ -200,7 +202,11 @@ def _valuation_to_entry(agent: str, v: Valuation) -> dict:
 
 
 def _valuation_from_entry(entry: Mapping) -> tuple[str, Valuation]:
-    letters = {name: frozenset(int(a) for a in ws) for name, ws in entry["letters"].items()}
+    letters = {}
+    for name, ws in entry["letters"].items():
+        if not isinstance(ws, list) or any(int(a) < 0 for a in ws):
+            raise FrameError(f"worlds of letter {name!r} must be a list of non-negative indices")
+        letters[name] = frozenset(int(a) for a in ws)
     return str(entry["agent"]), Valuation(letters)
 
 

@@ -17,7 +17,6 @@ construction is deterministic.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -71,43 +70,31 @@ def _atom_formulas(variables: tuple[str, ...]) -> list[Formula]:
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedShape:
-    """Sign tables of a rule in reduced normal form.
-
-    ``letters`` starts with the conclusion variable; ``keys`` holds each
-    disjunct packed into an integer, bit ``j`` being the sign of atom ``j``
-    in the canonical order.
-    """
-
-    letters: tuple[str, ...]
-    keys: np.ndarray
-
-    def atom_formulas(self) -> list[Formula]:
-        return _atom_formulas(self.letters)
-
-    def conclusion_formula(self) -> Letter:
-        return Letter(self.letters[0])
-
-
-@dataclass(frozen=True, eq=False)
 class ReducedNormalFormRule:
-    """A rule ``eps / x1`` stored as sign tables.
+    """A rule ``eps / x1`` stored as a sign table.
 
-    ``signs[j, t]`` is True when disjunct ``j`` asserts atom ``t``
-    positively (canonical atom order over ``variables``).
+    ``keys`` holds each disjunct packed into an integer, sorted and
+    distinct: bit ``t`` is the sign of atom ``t`` in the canonical order over
+    ``variables``, whose first entry is the conclusion variable.  Packing
+    limits the atom set to 64 atoms (7 variables).
     """
 
     variables: tuple[str, ...]
-    signs: np.ndarray
+    keys: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
-        signs = np.asarray(self.signs, dtype=bool)
-        object.__setattr__(self, "signs", signs)
-        if signs.ndim != 2 or signs.shape[1] != atom_count(len(self.variables)):
-            raise ValueError("sign table width does not match the variable count")
-        if signs.shape[0] == 0:
+        keys = np.asarray(self.keys, dtype=np.uint64)
+        object.__setattr__(self, "keys", keys)
+        width = atom_count(len(self.variables))
+        if width > 64:
+            raise ValueError(f"{width} atoms do not fit a 64-bit sign key")
+        if keys.ndim != 1 or keys.shape[0] == 0:
             raise ValueError("a reduced normal form needs at least one disjunct")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("disjunct keys must be sorted and distinct")
+        if int(keys[-1]) >> width:
+            raise ValueError("a disjunct key signs atoms beyond the variable count")
 
     @property
     def variable_count(self) -> int:
@@ -115,38 +102,43 @@ class ReducedNormalFormRule:
 
     @property
     def disjunct_count(self) -> int:
-        return int(self.signs.shape[0])
+        return int(self.keys.shape[0])
 
-    def shape(self) -> ReducedShape:
-        weights = np.uint64(1) << np.arange(self.signs.shape[1], dtype=np.uint64)
-        keys = (self.signs.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
-        return ReducedShape(self.variables, np.unique(keys))
+    @property
+    def signs(self) -> np.ndarray:
+        """Read-only view: ``signs[j, t]`` is True when disjunct ``j`` asserts atom ``t``."""
+        shifts = np.arange(atom_count(len(self.variables)), dtype=np.uint64)
+        signs = ((self.keys[:, None] >> shifts) & np.uint64(1)).astype(bool)
+        signs.flags.writeable = False
+        return signs
+
+    def atom_formulas(self) -> list[Formula]:
+        return _atom_formulas(self.variables)
 
     def to_rule(self) -> Rule:
-        """Render the sign tables as an actual rule ``eps / x1``.
+        """Render the sign table as an actual rule ``eps / x1``.
 
         Disjuncts are right-nested conjunctions in canonical atom order with
         shared suffixes, joined by a balanced disjunction tree (keeps the
-        formula depth logarithmic in the disjunct count).
+        formula depth logarithmic in the disjunct count).  The suffix of a
+        disjunct from atom ``t`` on is its key shifted right by ``t``.
         """
-        atoms = _atom_formulas(self.variables)
+        atoms = self.atom_formulas()
         negated = [Not(a) for a in atoms]
         width = len(atoms)
         cache: dict[tuple[int, int], Formula] = {}
         disjuncts: list[Formula] = []
-        for row in self.signs:
-            bits = row.tolist()
+        for key in self.keys.tolist():
             node: Optional[Formula] = None
-            key = 0
             for t in range(width - 1, -1, -1):
-                key = (key << 1) | bits[t]
-                cached = cache.get((t, key))
+                suffix = key >> t
+                cached = cache.get((t, suffix))
                 if cached is not None:
                     node = cached
                     continue
-                lit = atoms[t] if bits[t] else negated[t]
+                lit = atoms[t] if suffix & 1 else negated[t]
                 node = lit if node is None else And(lit, node)
-                cache[(t, key)] = node
+                cache[(t, suffix)] = node
             disjuncts.append(node)  # type: ignore[arg-type]
         eps = _balanced_or(disjuncts)
         return Rule((eps,), Letter(self.variables[0]))
@@ -237,45 +229,39 @@ def to_reduced_normal_form(rule: Rule, *, max_atoms: Optional[int] = None) -> Re
         else:
             raise TypeError(f"not a formula: {g!r}")
 
-    signs = bits[mask]
-    variables = tuple(f"x{i + 1}" for i in range(n))
-    if signs.shape[0] == 0:
-        return _always_valid_form()
-    return ReducedNormalFormRule(variables, signs)
+    keys = codes[mask]
+    if keys.shape[0] == 0:
+        # eps forces x1 true at every world, so the rule holds in every frame.
+        return ReducedNormalFormRule(("x1",), np.array([0b01, 0b11]))
+    return ReducedNormalFormRule(tuple(f"x{i + 1}" for i in range(n)), keys)
 
 
-def _always_valid_form() -> ReducedNormalFormRule:
-    # eps forces x1 true at every world, so the rule holds in every frame.
-    return ReducedNormalFormRule(("x1",), np.array([[True, False], [True, True]]))
-
-
-_shape_cache: dict[int, tuple["weakref.ref[Rule]", Optional[ReducedShape]]] = {}
-
-
-def match_reduced_form(rule: Rule) -> Optional[ReducedShape]:
-    """Sign tables of ``rule`` if it is syntactically in reduced normal form.
+def match_reduced_form(rule: Rule) -> Optional[ReducedNormalFormRule]:
+    """Sign table of ``rule`` if it is syntactically in reduced normal form.
 
     Accepts any nesting of the conjunctions and disjunctions; returns None
     when the rule does not have the shape (several premises, non-variable
-    conclusion, imperfect or alien conjuncts).  Results are cached per rule
-    object: rendered forms can be large and get matched once per frame check.
+    conclusion, imperfect or alien conjuncts) and when its atom set exceeds
+    the 64 atoms a packed key holds (8 or more variables).  The result is
+    kept on the rule: rendered forms can be large and get matched once per
+    frame check.
     """
-    key = id(rule)
-    hit = _shape_cache.get(key)
-    if hit is not None and hit[0]() is rule:
-        return hit[1]
-    shape = _match_reduced_form(rule)
-    _shape_cache[key] = (weakref.ref(rule, lambda _, key=key: _shape_cache.pop(key, None)), shape)
-    return shape
+    cached = rule.__dict__.get("_reduced_form", _MISSING)
+    if cached is _MISSING:
+        cached = _match_reduced_form(rule)
+        object.__setattr__(rule, "_reduced_form", cached)
+    return cached
 
 
-def _match_reduced_form(rule: Rule) -> Optional[ReducedShape]:
+def _match_reduced_form(rule: Rule) -> Optional[ReducedNormalFormRule]:
     if len(rule.premises) != 1:
         return None
     concl = rule.conclusion
     if not isinstance(concl, Letter):
         return None
     letters = (concl.name,) + tuple(x for x in rule.letters if x != concl.name)
+    if atom_count(len(letters)) > 64:
+        return None
     atom_index = {a: j for j, a in enumerate(_atom_formulas(letters))}
     width = len(atom_index)
     full_mask = (1 << width) - 1
@@ -312,7 +298,7 @@ def _match_reduced_form(rule: Rule) -> Optional[ReducedShape]:
         if res is None or res[0] != full_mask:
             return None
         keys.add(res[1])
-    return ReducedShape(letters, np.array(sorted(keys), dtype=np.uint64))
+    return ReducedNormalFormRule(letters, np.array(sorted(keys), dtype=np.uint64))
 
 
 _MISSING = object()

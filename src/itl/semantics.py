@@ -140,9 +140,9 @@ def rule_refutation_mask(rule: Rule):
     tables; the two routes compute the same thing and are cross-checked in
     the test suite.
     """
-    extracted = normalform.match_reduced_form(rule)
-    if extracted is not None:
-        return lambda ev: _reduced_fail_mask(ev, extracted)
+    rnf = normalform.match_reduced_form(rule)
+    if rnf is not None:
+        return lambda ev: _reduced_fail_mask(ev, rnf)
 
     def mask(ev) -> np.ndarray:
         prem_ok = np.ones(len(ev.indices), dtype=bool)
@@ -154,12 +154,12 @@ def rule_refutation_mask(rule: Rule):
     return mask
 
 
-def _reduced_fail_mask(ev, extracted: "normalform.ReducedShape") -> np.ndarray:
+def _reduced_fail_mask(ev, rnf: normalform.ReducedNormalFormRule) -> np.ndarray:
     realized = np.zeros((len(ev.indices), ev.worlds), dtype=np.uint64)
-    for j, atom in enumerate(extracted.atom_formulas()):
+    for j, atom in enumerate(rnf.atom_formulas()):
         realized |= ev.table(atom).astype(np.uint64) << np.uint64(j)
-    premise_ok = np.isin(realized, extracted.keys).all(axis=1)
-    conclusion = ev.table(extracted.conclusion_formula())
+    premise_ok = np.isin(realized, rnf.keys).all(axis=1)
+    conclusion = ev.table(Letter(rnf.variables[0]))
     return premise_ok & ~conclusion.all(axis=1)
 
 

@@ -207,3 +207,75 @@ def test_verify_accepts_refute_and_admissible_certificates(tmp_path, capsys):
     path.write_text(json.dumps(certificate))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0 and json.loads(out) == {"ok": True}
+
+
+def test_sat_certificate_verifies_and_negation_is_non_theorem(tmp_path, capsys):
+    code, out, _ = run(capsys, "sat", "--m", "1", "--formula", "p & X !p")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "satisfiable"
+    path = tmp_path / "sat.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and json.loads(out) == {"ok": True}
+    code, out, _ = run(capsys, "decide", "--m", "1", "--formula", "!(p & X !p)")
+    assert code == 0
+    negated = json.loads(out)
+    assert negated["verdict"] == "non_theorem"
+    assert negated["certificate"]["valuations"] == data["certificate"]["valuations"]
+
+
+def _wide_reduced_rule() -> str:
+    # one perfect conjunction over 8 variables (72 atoms): true at a one-world
+    # lasso exactly when x1 is false and every other variable is true
+    from itl import Not, print_formula
+    from itl.normalform import _atom_formulas
+
+    atoms = _atom_formulas(tuple(f"x{i}" for i in range(1, 9)))
+    false_atoms = {"x1", "X x1"} | {f"x{i} U x1" for i in range(2, 9)}
+    literals = [Not(a) if print_formula(a) in false_atoms else a for a in atoms]
+    return " & ".join(print_formula(lit) for lit in literals) + " / x1"
+
+
+def test_wide_reduced_form_rule_uses_node_tables(tmp_path, capsys):
+    # 72 atoms do not fit a 64-bit sign key; the rule must fall back to the
+    # node-by-node tables rather than fail
+    rule = _wide_reduced_rule()
+    generic = rule.replace(" / x1", " & true / x1")  # same premise, not in reduced shape
+    code, out, err = run(capsys, "refute", "--rule", rule, "--max-worlds", "1", "--max-reach", "1")
+    assert code == 0 and err == ""
+    reduced = json.loads(out)
+    _, out, _ = run(capsys, "refute", "--rule", generic, "--max-worlds", "1", "--max-reach", "1")
+    expected = json.loads(out)
+    assert reduced["verdict"] == expected["verdict"] == "non_theorem"
+    assert reduced["certificate"]["valuations"] == expected["certificate"]["valuations"]
+    frame = write_model(tmp_path, "frame.json", {"frame": {"kind": "lasso", "worlds": 1, "loop": 0, "reach": [1]}})
+    code, out, err = run(capsys, "rule-valid", "--frame", frame, "--rule", rule)
+    assert code == 0 and err == "" and json.loads(out)["valid"] is False
+
+
+def test_verify_rejects_unknown_or_malformed_caps(tmp_path, capsys):
+    for caps in ({"bogus": 1}, [1], 5):
+        path = tmp_path / "verdict.json"
+        path.write_text(json.dumps({"verdict": "inconclusive", "certificate": None, "caps": caps}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "caps" in err
+
+
+def test_rule_valid_rejects_non_list_reach(tmp_path, capsys):
+    frame = write_model(tmp_path, "frame.json", {"kind": "lasso", "worlds": 1, "loop": 0, "reach": 5})
+    code, out, err = run(capsys, "rule-valid", "--frame", frame, "--rule", "p / p")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "reach" in err
+
+
+def test_model_rejects_negative_world(tmp_path, capsys):
+    data = {
+        "frame": {"kind": "lasso", "worlds": 1, "loop": 0, "reach": [1]},
+        "valuations": [{"agent": "V", "letters": {"p": [-1]}}],
+    }
+    model = write_model(tmp_path, "model.json", data)
+    code, out, err = run(capsys, "eval", "--model", model, "--formula", "p")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "non-negative" in err

@@ -8,6 +8,7 @@ import pytest
 from itl import (
     FiniteLassoFrame,
     Letter,
+    ReducedNormalFormRule,
     ResourceCapError,
     Rule,
     formula_to_rule,
@@ -91,6 +92,17 @@ def test_rendered_form_passes_shape_check():
         assert is_reduced_normal_form(rnf.to_rule())
 
 
+def test_sign_table_rejects_malformed_keys():
+    for keys in ([3, 1], [1, 1], [], [4]):  # unsorted, repeated, empty, beyond the two atoms
+        with pytest.raises(ValueError):
+            ReducedNormalFormRule(("x1",), np.array(keys, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        ReducedNormalFormRule(tuple(f"x{i}" for i in range(1, 9)), np.array([0], dtype=np.uint64))
+    rnf = ReducedNormalFormRule(("x1",), np.array([1, 3]))
+    assert rnf.signs.tolist() == [[True, False], [True, True]]
+    assert not rnf.signs.flags.writeable
+
+
 def test_disjunct_count_bounded_by_atom_set():
     rng = random.Random(41)
     for _ in range(20):
@@ -109,7 +121,7 @@ def test_construction_is_deterministic():
     first = to_reduced_normal_form(rule)
     second = to_reduced_normal_form(rule)
     assert first.variables == second.variables
-    assert np.array_equal(first.signs, second.signs)
+    assert np.array_equal(first.keys, second.keys)
 
 
 def test_atom_cap_enforced():
@@ -150,12 +162,22 @@ def test_shape_requires_perfect_disjuncts():
 
 
 def test_extracted_keys_match_sign_tables():
-    for text in ("x / x", "p U q / q", "X p / p"):
-        rnf = to_reduced_normal_form(parse_rule(text))
-        shape = match_reduced_form(rnf.to_rule())
-        assert shape is not None
-        assert shape.letters == rnf.variables
-        assert np.array_equal(shape.keys, rnf.shape().keys)
+    # re-parse the printed rendering so the matcher walks fresh formula nodes
+    texts = ("x / x", "p U q / q", "X p / p", "x & !x / y", "p U p / p")
+    forms = [to_reduced_normal_form(parse_rule(t)) for t in texts]
+    rng = random.Random(17)
+    for _ in range(20):
+        rule = Rule((random_formula(rng, 2, 2),), random_formula(rng, 2, 1))
+        try:
+            forms.append(to_reduced_normal_form(rule, max_atoms=atom_count(3)))
+        except ResourceCapError:
+            continue
+    assert len(forms) >= 10
+    for rnf in forms:
+        matched = match_reduced_form(parse_rule(print_rule(rnf.to_rule())))
+        assert matched is not None
+        assert matched.variables == rnf.variables
+        assert np.array_equal(matched.keys, rnf.keys)
 
 
 def test_reduced_path_agrees_with_generic_tables():
