@@ -70,14 +70,14 @@ def _cmd_eval(args) -> int:
 def _cmd_uniform(args) -> int:
     f = parse_formula(args.formula)
     procedure = decide.decide_uniform_satisfiable if args.command == "sat" else decide.decide_uniform_theorem
-    verdict = procedure(f, args.m, jobs=args.jobs, **_caps_kwargs(args))
+    verdict = procedure(f, args.m, **_caps_kwargs(args))
     _emit(decide.verdict_to_dict(verdict))
     return 0
 
 
 def _cmd_refute(args) -> int:
     target = parse_rule(args.rule) if args.rule else parse_formula(args.formula)
-    verdict = decide.bounded_nt_refutation(target, args.max_worlds, args.max_reach, jobs=args.jobs)
+    verdict = decide.bounded_nt_refutation(target, args.max_worlds, args.max_reach)
     _emit(decide.verdict_to_dict(verdict))
     return 0
 
@@ -105,10 +105,10 @@ def _cmd_rule_valid(args) -> int:
     else:
         with open(args.frame, encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise FrameError("a frame file must hold a JSON object")
         frame = frame_from_dict(data.get("frame", data))
-        valid = rule_valid_in_frame(
-            frame, rule, max_atoms=_cap(args.max_atoms, "ITL_MAX_ATOMS"), jobs=args.jobs
-        )
+        valid = rule_valid_in_frame(frame, rule, max_atoms=_cap(args.max_atoms, "ITL_MAX_ATOMS"))
     _emit({"rule": print_rule(rule), "valid": valid})
     return 0
 
@@ -164,6 +164,9 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+_JOBS_HELP = "accepted for compatibility; has no effect"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="itl", description="Temporal logic with bounded-memory time windows.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--formula", required=True)
         p.add_argument("--max-atoms", type=int, dest="max_atoms")
         p.add_argument("--max-worlds", type=int, dest="max_worlds_cap")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("refute", _cmd_refute, "search finite lasso frames for a countermodel")
     group = p.add_mutually_exclusive_group(required=True)
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--rule")
     p.add_argument("--max-worlds", type=int, required=True)
     p.add_argument("--max-reach", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("rnf", _cmd_rnf, "reduced normal form of a rule")
     p.add_argument("--rule", required=True)
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--frame")
     p.add_argument("--rule", required=True)
     p.add_argument("--max-atoms", type=int, dest="max_atoms")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("admissible", _cmd_admissible, "screen and bounded refutation search for admissibility")
     p.add_argument("--m", type=int, required=True)

@@ -82,8 +82,9 @@ def decide_uniform_theorem(
 
     Theorem iff ``f`` holds at world 0 under every valuation of the window
     frame; otherwise the first failing valuation is the countermodel.
+    ``jobs`` is accepted for compatibility and has no effect.
     """
-    return _decide_uniform(f, m, False, max_atoms, max_worlds, chunk_bits, jobs)
+    return _decide_uniform(f, m, False, max_atoms, max_worlds, chunk_bits)
 
 
 def decide_uniform_satisfiable(
@@ -95,12 +96,15 @@ def decide_uniform_satisfiable(
     chunk_bits: int = DEFAULT_CHUNK_BITS,
     jobs: int = 1,
 ) -> Verdict:
-    """Satisfiability at world 0 of some uniform window model; dual to theoremhood."""
-    return _decide_uniform(f, m, True, max_atoms, max_worlds, chunk_bits, jobs)
+    """Satisfiability at world 0 of some uniform window model; dual to theoremhood.
+
+    ``jobs`` is accepted for compatibility and has no effect.
+    """
+    return _decide_uniform(f, m, True, max_atoms, max_worlds, chunk_bits)
 
 
 def _decide_uniform(
-    f: Formula, m: int, want: bool, max_atoms: Optional[int], max_worlds: Optional[int], chunk_bits: int, jobs: int
+    f: Formula, m: int, want: bool, max_atoms: Optional[int], max_worlds: Optional[int], chunk_bits: int
 ) -> Verdict:
     """Search for a valuation giving ``f`` the value ``want`` at world 0.
 
@@ -118,10 +122,10 @@ def _decide_uniform(
     frame = UniformWindowFrame(width, m)
 
     def hits(ev):
-        column = ev.table(f)[:, 0]
-        return column if want else ~column
+        row = ev.table(f)[0]
+        return row if want else ~row
 
-    found = scan_valuations(frame, letters, hits, chunk_bits=chunk_bits, jobs=jobs)
+    found = scan_valuations(frame, letters, hits, chunk_bits=chunk_bits)
     if found is None:
         return Verdict(VerdictKind.UNSATISFIABLE if want else VerdictKind.THEOREM)
     model = Model(frame, decode_valuation(found, letters, width))
@@ -150,7 +154,8 @@ def bounded_nt_refutation(
     Enumerates frames and valuations in a fixed order and returns the first
     countermodel as a NonTheorem certificate; if none exists under the caps
     the result is Inconclusive (never Theorem: the complete size bound of
-    :func:`finite_model_size_bound` is astronomically large).
+    :func:`finite_model_size_bound` is astronomically large).  ``jobs`` is
+    accepted for compatibility and has no effect.
     """
     caps = SearchCaps(max_worlds=max_worlds, max_reach=max_reach)
     if max_worlds < 1 or max_reach < 1:
@@ -161,10 +166,10 @@ def bounded_nt_refutation(
         failing = target.conclusion
     else:
         letters = letters_of(target)
-        mask = lambda ev: ~ev.table(target).all(axis=1)  # noqa: E731
+        mask = lambda ev: ~ev.everywhere(target)  # noqa: E731
         failing = target
     for frame in iter_lasso_frames(max_worlds, max_reach):
-        found = scan_valuations(frame, letters, mask, chunk_bits=chunk_bits, jobs=jobs)
+        found = scan_valuations(frame, letters, mask, chunk_bits=chunk_bits)
         if found is not None:
             model = Model(frame, decode_valuation(found, letters, frame.worlds))
             world = _first_failure_world(model, failing)
@@ -253,6 +258,8 @@ def verdict_to_dict(verdict: Verdict) -> dict:
 
 
 def verdict_from_dict(data: Mapping) -> Verdict:
+    if not isinstance(data, Mapping):
+        raise ValueError("a verdict must be a JSON object")
     kind = VerdictKind(data["verdict"])
     cert = data.get("certificate")
     caps = data.get("caps")

@@ -187,6 +187,8 @@ def frame_to_dict(frame: Frame) -> dict:
 
 
 def frame_from_dict(data: Mapping) -> Frame:
+    if not isinstance(data, Mapping):
+        raise FrameError("a frame must be a JSON object")
     kind = data.get("kind")
     if kind == "lasso":
         if not isinstance(data["reach"], list):
@@ -202,6 +204,8 @@ def _valuation_to_entry(agent: str, v: Valuation) -> dict:
 
 
 def _valuation_from_entry(entry: Mapping) -> tuple[str, Valuation]:
+    if not isinstance(entry, Mapping) or not isinstance(entry.get("letters"), Mapping):
+        raise FrameError("a valuation entry must be a JSON object with a \"letters\" object")
     letters = {}
     for name, ws in entry["letters"].items():
         if not isinstance(ws, list) or any(int(a) < 0 for a in ws):
@@ -219,8 +223,12 @@ def model_to_dict(model: Model | MultiAgentModel) -> dict:
 
 
 def model_from_dict(data: Mapping) -> Model | MultiAgentModel:
+    if not isinstance(data, Mapping):
+        raise FrameError("a model must be a JSON object")
     frame = frame_from_dict(data["frame"])
     entries = data.get("valuations", [])
+    if not isinstance(entries, list):
+        raise FrameError("valuations must be a list of entries")
     if not entries:
         raise FrameError("model file has no valuations")
     pairs = [_valuation_from_entry(e) for e in entries]

@@ -13,7 +13,8 @@ DEFAULT_MAX_ATOMS = 20
 # Upper bound on window width for the uniform decision procedure.
 DEFAULT_MAX_WORLDS = 12
 
-# Valuation batches are processed in chunks of 2**CHUNK_BITS.
+# Valuation batches are processed in chunks of 2**CHUNK_BITS: 2**16
+# valuations are 1024 packed 64-bit words per world.
 DEFAULT_CHUNK_BITS = 16
 
 

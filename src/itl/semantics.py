@@ -145,22 +145,21 @@ def rule_refutation_mask(rule: Rule):
         return lambda ev: _reduced_fail_mask(ev, rnf)
 
     def mask(ev) -> np.ndarray:
-        prem_ok = np.ones(len(ev.indices), dtype=bool)
+        hits = ~ev.everywhere(rule.conclusion)
         for p in rule.premises:
-            prem_ok &= ev.table(p).all(axis=1)
-        concl = ev.table(rule.conclusion)
-        return prem_ok & ~concl.all(axis=1)
+            hits &= ev.everywhere(p)
+        return hits
 
     return mask
 
 
 def _reduced_fail_mask(ev, rnf: normalform.ReducedNormalFormRule) -> np.ndarray:
-    realized = np.zeros((len(ev.indices), ev.worlds), dtype=np.uint64)
+    count = len(ev.indices)
+    realized = np.zeros((ev.worlds, count), dtype=np.uint64)
     for j, atom in enumerate(rnf.atom_formulas()):
-        realized |= ev.table(atom).astype(np.uint64) << np.uint64(j)
-    premise_ok = np.isin(realized, rnf.keys).all(axis=1)
-    conclusion = ev.table(Letter(rnf.variables[0]))
-    return premise_ok & ~conclusion.all(axis=1)
+        realized |= tables.unpack(ev.table(atom), count).astype(np.uint64) << np.uint64(j)
+    premise_ok = tables.pack(np.isin(realized, rnf.keys).all(axis=0))
+    return premise_ok & ~ev.everywhere(Letter(rnf.variables[0]))
 
 
 def rule_valid_in_frame(
@@ -171,9 +170,12 @@ def rule_valid_in_frame(
     chunk_bits: int = DEFAULT_CHUNK_BITS,
     jobs: int = 1,
 ) -> bool:
-    """True iff the rule is valid under every valuation of its letters on ``frame``."""
+    """True iff the rule is valid under every valuation of its letters on ``frame``.
+
+    ``jobs`` is accepted for compatibility and has no effect.
+    """
     _guard_frame_rule(frame, rule, max_atoms)
-    found = tables.scan_valuations(frame, rule.letters, rule_refutation_mask(rule), chunk_bits=chunk_bits, jobs=jobs)
+    found = tables.scan_valuations(frame, rule.letters, rule_refutation_mask(rule), chunk_bits=chunk_bits)
     return found is None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class Formula:
@@ -257,10 +257,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting of parentheses, prefix operators and right-nested
+# implications the parser accepts.  Each level costs the parser up to six
+# Python frames, so the limit keeps the parser inside the interpreter's
+# recursion limit.  It does not bound tree depth: the ``&``, ``|`` and ``U``
+# loops build left-deep chains the counter never sees, and a long enough chain
+# still overflows the recursion of printing and evaluation (ROADMAP item 5).
+# ``G`` counts three levels because it prints as ``!(true U !...)``: the
+# printed form of every accepted formula is accepted again.
+MAX_NESTING = 100
+
+_PREFIX_KINDS = ("not", *_PREFIX_OPS.values())
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -270,11 +284,20 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def nested(self, parse: Callable[[], Formula], col: int, levels: int = 1) -> Formula:
+        """Run ``parse`` ``levels`` nesting levels deeper; ``col`` locates the opening token."""
+        if self.depth + levels > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", col)
+        self.depth += levels
+        f = parse()
+        self.depth -= levels
+        return f
+
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.peek()[0] == "implies":
-            self.take()
-            return Implies(left, self.implies())
+            col = self.take()[2]
+            return Implies(left, self.nested(self.implies, col))
         return left
 
     def disjunction(self) -> Formula:
@@ -299,20 +322,18 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        kind = self.peek()[0]
+        kind, _, col = self.peek()
+        if kind not in _PREFIX_KINDS:
+            return self.atom()
+        self.take()
+        arg = self.nested(self.unary, col, 3 if kind == "box" else 1)
         if kind == "not":
-            self.take()
-            return Not(self.unary())
+            return Not(arg)
         if kind == "next":
-            self.take()
-            return Next(self.unary())
+            return Next(arg)
         if kind == "box":
-            self.take()
-            return Not(Until(TRUE, Not(self.unary())))
-        if kind == "diamond":
-            self.take()
-            return Until(TRUE, self.unary())
-        return self.atom()
+            return Not(Until(TRUE, Not(arg)))
+        return Until(TRUE, arg)
 
     def atom(self) -> Formula:
         kind, text, col = self.take()
@@ -323,7 +344,7 @@ class _Parser:
         if kind == "false":
             return FALSE
         if kind == "lparen":
-            f = self.implies()
+            f = self.nested(self.implies, col)
             k2, _, col2 = self.take()
             if k2 != "rparen":
                 raise ParseError("unbalanced parentheses", col2)
@@ -332,6 +353,13 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
+    """Parse formula text.
+
+    Parentheses, prefix operators (``!``, ``X``, ``F``, and ``G`` counting
+    three) and right-nested implications may nest at most
+    :data:`MAX_NESTING` levels deep; deeper text raises :class:`ParseError`
+    at the column of the first token past the limit.
+    """
     p = _Parser(_tokenize(text))
     f = p.implies()
     kind, tok, col = p.peek()

@@ -1,18 +1,27 @@
-"""Vectorized truth tables over batches of valuations (internal engine).
+"""Bit-packed truth tables over blocks of valuations (internal engine).
 
-A batch of valuations over ``n`` letters and ``W`` worlds is encoded as an
-array of integer codes: letter ``i`` is true at world ``a`` in valuation
-``v`` iff bit ``i*W + a`` of ``v`` is set.  :class:`BatchEvaluator` turns a
-formula into a ``(len(batch), W)`` Boolean table, evaluating every valuation
-of the batch simultaneously; :func:`scan_valuations` drives a full
-enumeration in chunks and returns the first valuation code some caller-made
-predicate flags.  Enumeration order is the plain binary order of the codes,
-which is what makes search results reproducible.
+A valuation over ``n`` letters and ``W`` worlds is encoded as an integer
+code: letter ``i`` is true at world ``a`` in valuation ``v`` iff bit
+``i*W + a`` of ``v`` is set.  :class:`BatchEvaluator` evaluates a formula on
+every valuation of a contiguous block of codes at once.  Its tables are
+``(W, words)`` ``uint64`` arrays holding 64 valuations per word: valuation
+``start + 64*j + b`` of the block is bit ``b`` of word ``j``, where ``start``
+is a multiple of 64.  Bits past the block's end (only the last word of a
+block shorter than 64 valuations has any) hold unspecified values; whoever
+reads a table masks them.
+
+Because the block starts on a word boundary, a letter's row needs no
+per-valuation work: an atom bit ``k < 6`` is the same periodic word
+(``0xAAAA…``, ``0xCCCC…``, …) everywhere, and an atom bit ``k >= 6`` makes
+word ``j`` all ones exactly when bit ``k - 6`` of the global word index is
+set.  Connectives are word operations.  :func:`scan_valuations` drives a
+full enumeration in chunks and returns the first valuation code some
+caller-made predicate flags.  Enumeration order is the plain binary order of
+the codes, which is what makes search results reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,28 +30,51 @@ from .frames import FiniteLassoFrame, Frame, Valuation
 from .limits import DEFAULT_CHUNK_BITS
 from .syntax import And, FalseBool, Formula, Implies, Letter, Next, Not, Or, TrueBool, Until
 
+WORD_BITS = 64
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# Word of atom bit k < 6: bit b is set iff bit k of b is set.
+_LOW_MASKS = tuple(
+    np.uint64(sum(1 << b for b in range(WORD_BITS) if (b >> k) & 1)) for k in range(6)
+)
+
 
 class BatchEvaluator:
-    """Truth tables for one frame and one batch of valuation codes.
+    """Packed truth tables for one frame and one block of valuation codes.
 
-    On uniform frames the columns past a formula's window guarantee hold
-    unspecified values; callers must only read columns ``a`` with
-    ``a + reach(f) <= worlds - 1`` (the decision procedures read column 0 of
+    ``indices`` is a contiguous ``range`` of codes whose start is a multiple
+    of 64.  ``table(f)[a]`` is the packed truth of ``f`` at world ``a``.
+
+    On uniform frames the rows past a formula's window guarantee hold
+    unspecified values; callers must only read rows ``a`` with
+    ``a + reach(f) <= worlds - 1`` (the decision procedures read row 0 of
     a frame sized to fit).
     """
 
-    def __init__(self, frame: Frame, letters: Sequence[str], indices: np.ndarray):
+    def __init__(self, frame: Frame, letters: Sequence[str], indices: range):
+        if not isinstance(indices, range) or indices.step != 1:
+            raise TypeError("indices must be a contiguous range of valuation codes")
+        if indices.start % WORD_BITS:
+            raise ValueError(f"a block must start at a multiple of {WORD_BITS}, not {indices.start}")
         self.frame = frame
         self.letters = tuple(letters)
-        self.indices = np.asarray(indices, dtype=np.uint64)
+        self.indices = indices
         self.worlds = frame.worlds
+        self.words = -(-len(indices) // WORD_BITS)
         self._pos = {name: i for i, name in enumerate(self.letters)}
-        self._windows = [frame.window(a) for a in range(frame.worlds)]
+        first_word = indices.start // WORD_BITS
+        self._word_index = np.arange(first_word, first_word + self.words, dtype=np.uint64)
         if isinstance(frame, FiniteLassoFrame):
             succ = [frame.next_world(a) for a in range(frame.worlds)]
         else:
-            succ = list(range(1, frame.worlds)) + [frame.worlds - 1]  # last column is guard zone
+            succ = list(range(1, frame.worlds)) + [frame.worlds - 1]  # last row is guard zone
         self._succ = np.array(succ)
+        # Until steps: row s holds the s-th world of every window, padded
+        # with index ``worlds``, which _until maps to an all-false row.
+        windows = [frame.window(a) for a in range(frame.worlds)]
+        steps = np.full((max(map(len, windows)), frame.worlds), frame.worlds)
+        for a, win in enumerate(windows):
+            steps[: len(win), a] = win
+        self._steps = steps
         self._memo: dict[int, np.ndarray] = {}
         self._pinned: list[Formula] = []  # keeps ids in _memo from being recycled
 
@@ -54,9 +86,9 @@ class BatchEvaluator:
         if isinstance(f, Letter):
             t = self._letter(f.name)
         elif isinstance(f, TrueBool):
-            t = np.ones((len(self.indices), self.worlds), dtype=bool)
+            t = np.full((self.worlds, self.words), _ONES)
         elif isinstance(f, FalseBool):
-            t = np.zeros((len(self.indices), self.worlds), dtype=bool)
+            t = np.zeros((self.worlds, self.words), dtype=np.uint64)
         elif isinstance(f, Not):
             t = ~self.table(f.arg)
         elif isinstance(f, And):
@@ -66,7 +98,7 @@ class BatchEvaluator:
         elif isinstance(f, Implies):
             t = ~self.table(f.left) | self.table(f.right)
         elif isinstance(f, Next):
-            t = self.table(f.arg)[:, self._succ]
+            t = self.table(f.arg)[self._succ]
         elif isinstance(f, Until):
             t = self._until(self.table(f.left), self.table(f.right))
         else:
@@ -75,29 +107,47 @@ class BatchEvaluator:
         self._pinned.append(f)
         return t
 
+    def everywhere(self, f: Formula) -> np.ndarray:
+        """Packed vector: ``f`` holds at every world."""
+        return np.bitwise_and.reduce(self.table(f), axis=0)
+
     def _letter(self, name: str) -> np.ndarray:
         i = self._pos[name]  # missing letter = caller bug: batch letters must cover the formula
-        base = i * self.worlds
-        cols = [
-            ((self.indices >> np.uint64(base + a)) & np.uint64(1)).astype(bool)
-            for a in range(self.worlds)
-        ]
-        return np.stack(cols, axis=1)
+        rows = np.empty((self.worlds, self.words), dtype=np.uint64)
+        for a in range(self.worlds):
+            k = i * self.worlds + a
+            if k < 6:
+                rows[a] = _LOW_MASKS[k]
+            else:
+                rows[a] = -((self._word_index >> np.uint64(k - 6)) & np.uint64(1))
+        return rows
 
     def _until(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        out = np.empty_like(left)
-        for a in range(self.worlds):
-            win = self._windows[a]
-            res = right[:, win[0]].copy()
-            pref = left[:, win[0]].copy()
-            for b in win[1:]:
-                res |= pref & right[:, b]
-                pref &= left[:, b]
-            out[:, a] = res
-        return out
+        false_row = np.zeros((1, self.words), dtype=np.uint64)
+        left = np.vstack((left, false_row))
+        right = np.vstack((right, false_row))
+        res = right[self._steps[0]]
+        pref = left[self._steps[0]]
+        for row in self._steps[1:]:
+            res |= pref & right[row]
+            pref &= left[row]
+        return res
 
 
 FailMask = Callable[[BatchEvaluator], np.ndarray]
+
+
+def unpack(packed: np.ndarray, count: int) -> np.ndarray:
+    """Boolean array of the first ``count`` valuations of packed rows (last axis)."""
+    as_bytes = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=count, bitorder="little").astype(bool)
+
+
+def pack(bits: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`unpack` for one Boolean vector: 64 valuations per word."""
+    words = -(-len(bits) // WORD_BITS)
+    as_bytes = np.packbits(bits, bitorder="little")
+    return np.pad(as_bytes, (0, 8 * words - len(as_bytes))).view("<u8").astype(np.uint64)
 
 
 def scan_valuations(
@@ -106,37 +156,30 @@ def scan_valuations(
     fail_mask: FailMask,
     *,
     chunk_bits: int = DEFAULT_CHUNK_BITS,
-    jobs: int = 1,
 ) -> Optional[int]:
     """First valuation code flagged by ``fail_mask``, or None.
 
     Scans all ``2**(len(letters) * frame.worlds)`` valuations in binary
     order.  ``fail_mask`` receives a :class:`BatchEvaluator` for one chunk
-    and returns a Boolean hit vector over ``evaluator.indices``.  With
-    ``jobs > 1`` chunks are evaluated in a thread pool; results are still
-    consumed in order, so the answer does not depend on ``jobs``.
+    and returns a packed hit vector over ``evaluator.indices``.  A chunk is
+    at least one word (64 valuations) unless it is the whole space, so every
+    chunk starts on a word boundary.
     """
     n_bits = len(letters) * frame.worlds
     total = 1 << n_bits
-    step = 1 << min(chunk_bits, n_bits)
-
-    def run(start: int) -> Optional[int]:
-        stop = min(start + step, total)
-        ev = BatchEvaluator(frame, letters, np.arange(start, stop, dtype=np.uint64))
-        hits = np.flatnonzero(fail_mask(ev))
-        return start + int(hits[0]) if hits.size else None
-
-    starts = range(0, total, step)
-    if jobs <= 1 or len(starts) == 1:
-        for start in starts:
-            found = run(start)
-            if found is not None:
-                return found
-        return None
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for found in pool.map(run, starts):
-            if found is not None:
-                return found
+    step = 1 << min(max(chunk_bits, 6), n_bits)
+    for start in range(0, total, step):
+        block = range(start, min(start + step, total))
+        hits = fail_mask(BatchEvaluator(frame, letters, block))
+        tail = len(block) % WORD_BITS
+        if tail:
+            hits = hits.copy()
+            hits[-1] &= np.uint64((1 << tail) - 1)
+        nonzero = np.flatnonzero(hits)
+        if nonzero.size:
+            j = int(nonzero[0])
+            word = int(hits[j])
+            return start + WORD_BITS * j + (word & -word).bit_length() - 1
     return None
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from itl.cli import main
 
 
@@ -270,6 +272,15 @@ def test_rule_valid_rejects_non_list_reach(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "reach" in err
 
 
+@pytest.mark.parametrize("valuations", [5, [1], [{"agent": "V", "letters": [1]}]])
+def test_model_rejects_malformed_valuations(tmp_path, capsys, valuations):
+    data = {"frame": {"kind": "lasso", "worlds": 1, "loop": 0, "reach": [1]}, "valuations": valuations}
+    model = write_model(tmp_path, "model.json", data)
+    code, out, err = run(capsys, "eval", "--model", model, "--formula", "p")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "valuation" in err
+
+
 def test_model_rejects_negative_world(tmp_path, capsys):
     data = {
         "frame": {"kind": "lasso", "worlds": 1, "loop": 0, "reach": [1]},
@@ -279,3 +290,32 @@ def test_model_rejects_negative_world(tmp_path, capsys):
     code, out, err = run(capsys, "eval", "--model", model, "--formula", "p")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rule-valid", "--rule", "p / p", "--frame"),
+        ("rule-valid", "--rule", "p / p", "--model"),
+        ("eval", "--formula", "p", "--model"),
+        ("vote", "--model"),
+        ("verify",),
+    ],
+    ids=["rule-valid-frame", "rule-valid-model", "eval", "vote", "verify"],
+)
+def test_top_level_json_list_is_an_error(tmp_path, capsys, argv):
+    path = write_model(tmp_path, "list.json", [1])
+    code, out, err = run(capsys, *argv, path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["(" * 200 + "p" + ")" * 200, "!" * 3000 + "p", "p -> " * 3000 + "p"],
+    ids=["parentheses", "negations", "implications"],
+)
+def test_deep_nesting_is_a_parse_error(capsys, formula):
+    code, out, err = run(capsys, "decide", "--m", "1", "--formula", formula)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "nested deeper" in err

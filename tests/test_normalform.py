@@ -187,8 +187,7 @@ def test_reduced_path_agrees_with_generic_tables():
         rendered = to_reduced_normal_form(parse_rule(text)).to_rule()
 
         def generic_mask(ev, rendered=rendered):
-            prem_ok = ev.table(rendered.premises[0]).all(axis=1)
-            return prem_ok & ~ev.table(rendered.conclusion).all(axis=1)
+            return ev.everywhere(rendered.premises[0]) & ~ev.everywhere(rendered.conclusion)
 
         fast_mask = rule_refutation_mask(rendered)
         for frame in small_frames():

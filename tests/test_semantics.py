@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from itl import (
@@ -30,7 +29,7 @@ from itl import (
     rule_valid_in_model,
 )
 from itl.syntax import Until as UntilNode, letters_of
-from itl.tables import BatchEvaluator, decode_valuation
+from itl.tables import BatchEvaluator, decode_valuation, unpack
 
 from helpers import (
     random_formula,
@@ -306,12 +305,12 @@ def test_batch_tables_match_scalar_eval_on_lassos():
         f = random_formula(rng, letters=2, depth=3)
         letters = letters_of(f)
         n_bits = len(letters) * frame.worlds
-        ev = BatchEvaluator(frame, letters, np.arange(1 << n_bits, dtype=np.uint64))
-        table = ev.table(f)
+        ev = BatchEvaluator(frame, letters, range(1 << n_bits))
+        table = unpack(ev.table(f), 1 << n_bits)
         for code in range(1 << n_bits):
             model = Model(frame, decode_valuation(code, letters, frame.worlds))
             for a in range(frame.worlds):
-                assert table[code, a] == eval_nt(model, a, f)
+                assert table[a, code] == eval_nt(model, a, f)
 
 
 def test_batch_tables_match_scalar_eval_on_uniform_windows():
@@ -323,11 +322,11 @@ def test_batch_tables_match_scalar_eval_on_uniform_windows():
         frame = UniformWindowFrame(width, m)
         letters = letters_of(f)
         n_bits = len(letters) * width
-        ev = BatchEvaluator(frame, letters, np.arange(1 << n_bits, dtype=np.uint64))
-        table = ev.table(f)
+        ev = BatchEvaluator(frame, letters, range(1 << n_bits))
+        table = unpack(ev.table(f), 1 << n_bits)
         for code in range(1 << n_bits):
             model = Model(frame, decode_valuation(code, letters, width))
-            assert table[code, 0] == eval_nt(model, 0, f)
+            assert table[0, code] == eval_nt(model, 0, f)
 
 
 def test_rule_valid_in_frame_resource_cap():

@@ -36,7 +36,7 @@ from itl import (
     reach,
     subformulas,
 )
-from itl.syntax import FalseBool, Formula, TrueBool, children
+from itl.syntax import MAX_NESTING, FalseBool, Formula, TrueBool, children
 
 from helpers import random_formula
 
@@ -91,12 +91,32 @@ def test_parse_constants_and_identifiers():
         ("(p", 3),
         ("p U", 4),
         ("p - q", 3),
+        ("(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1), MAX_NESTING + 1),
+        ("!" * MAX_NESTING + "X p", MAX_NESTING + 1),
+        ("G " * (MAX_NESTING // 3 + 1) + "p", 2 * (MAX_NESTING // 3) + 1),
+        ("p -> " * (MAX_NESTING + 1) + "p", 5 * MAX_NESTING + 3),
     ],
 )
 def test_parse_errors_carry_one_based_columns(text, column):
     with pytest.raises(ParseError) as err:
         parse_formula(text)
     assert err.value.column == column
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
+        "!" * (MAX_NESTING - 1) + "X p",
+        "G " * (MAX_NESTING // 3) + "p",
+        "F " * MAX_NESTING + "p",
+        "p -> " * MAX_NESTING + "p",
+        "(p U " * (MAX_NESTING // 2) + "q" + ")" * (MAX_NESTING // 2),
+    ],
+)
+def test_formulas_at_the_nesting_limit_parse_and_print_round_trip(text):
+    f = parse_formula(text)
+    assert parse_formula(print_formula(f)) == f
 
 
 def test_parse_rule_text():
