@@ -23,15 +23,12 @@ from .syntax import (
     TRUE,
     And,
     Formula,
-    Implies,
     Letter,
     Next,
     Not,
-    Or,
     Rule,
-    TrueBool,
-    FalseBool,
     Until,
+    children,
     print_formula,
 )
 
@@ -49,21 +46,8 @@ def apply_substitution(f: Formula, s: Substitution) -> Formula:
             return s[f.name]
         except KeyError:
             raise KeyError(f"unmapped letter {f.name!r}") from None
-    if isinstance(f, (TrueBool, FalseBool)):
-        return f
-    if isinstance(f, Not):
-        return Not(apply_substitution(f.arg, s))
-    if isinstance(f, Next):
-        return Next(apply_substitution(f.arg, s))
-    if isinstance(f, And):
-        return And(apply_substitution(f.left, s), apply_substitution(f.right, s))
-    if isinstance(f, Or):
-        return Or(apply_substitution(f.left, s), apply_substitution(f.right, s))
-    if isinstance(f, Implies):
-        return Implies(apply_substitution(f.left, s), apply_substitution(f.right, s))
-    if isinstance(f, Until):
-        return Until(apply_substitution(f.left, s), apply_substitution(f.right, s))
-    raise TypeError(f"not a formula: {f!r}")
+    kids = children(f)
+    return type(f)(*[apply_substitution(c, s) for c in kids]) if kids else f
 
 
 def substitution_pool(depth: int, letter: str = "p") -> list[Formula]:

@@ -23,7 +23,7 @@ from math import factorial
 from typing import Iterator, Mapping, Optional, Union
 
 from .frames import FiniteLassoFrame, Model, UniformWindowFrame, model_from_dict, model_to_dict
-from .limits import DEFAULT_CHUNK_BITS, DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
+from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from .semantics import eval_nt, formula_valid_in_model, rule_refutation_mask
 from .syntax import Formula, Rule, letters_of, parse_formula, parse_rule, print_formula, print_rule, reach
 from .tables import decode_valuation, scan_valuations
@@ -75,7 +75,6 @@ def decide_uniform_theorem(
     *,
     max_atoms: Optional[int] = None,
     max_worlds: Optional[int] = None,
-    chunk_bits: int = DEFAULT_CHUNK_BITS,
     jobs: int = 1,
 ) -> Verdict:
     """Complete theoremhood test for the uniform logic with memory length ``m``.
@@ -84,7 +83,7 @@ def decide_uniform_theorem(
     frame; otherwise the first failing valuation is the countermodel.
     ``jobs`` is accepted for compatibility and has no effect.
     """
-    return _decide_uniform(f, m, False, max_atoms, max_worlds, chunk_bits)
+    return _decide_uniform(f, m, False, max_atoms, max_worlds)
 
 
 def decide_uniform_satisfiable(
@@ -93,19 +92,16 @@ def decide_uniform_satisfiable(
     *,
     max_atoms: Optional[int] = None,
     max_worlds: Optional[int] = None,
-    chunk_bits: int = DEFAULT_CHUNK_BITS,
     jobs: int = 1,
 ) -> Verdict:
     """Satisfiability at world 0 of some uniform window model; dual to theoremhood.
 
     ``jobs`` is accepted for compatibility and has no effect.
     """
-    return _decide_uniform(f, m, True, max_atoms, max_worlds, chunk_bits)
+    return _decide_uniform(f, m, True, max_atoms, max_worlds)
 
 
-def _decide_uniform(
-    f: Formula, m: int, want: bool, max_atoms: Optional[int], max_worlds: Optional[int], chunk_bits: int
-) -> Verdict:
+def _decide_uniform(f: Formula, m: int, want: bool, max_atoms: Optional[int], max_worlds: Optional[int]) -> Verdict:
     """Search for a valuation giving ``f`` the value ``want`` at world 0.
 
     Builds the window frame of width ``reach(f, m) + 1`` and enumerates all
@@ -125,7 +121,7 @@ def _decide_uniform(
         row = ev.table(f)[0]
         return row if want else ~row
 
-    found = scan_valuations(frame, letters, hits, chunk_bits=chunk_bits)
+    found = scan_valuations(frame, letters, hits)
     if found is None:
         return Verdict(VerdictKind.UNSATISFIABLE if want else VerdictKind.THEOREM)
     model = Model(frame, decode_valuation(found, letters, width))
@@ -146,7 +142,6 @@ def bounded_nt_refutation(
     max_worlds: int,
     max_reach: int,
     *,
-    chunk_bits: int = DEFAULT_CHUNK_BITS,
     jobs: int = 1,
 ) -> Verdict:
     """Sound countermodel search over finite lasso frames.
@@ -169,7 +164,7 @@ def bounded_nt_refutation(
         mask = lambda ev: ~ev.everywhere(target)  # noqa: E731
         failing = target
     for frame in iter_lasso_frames(max_worlds, max_reach):
-        found = scan_valuations(frame, letters, mask, chunk_bits=chunk_bits)
+        found = scan_valuations(frame, letters, mask)
         if found is not None:
             model = Model(frame, decode_valuation(found, letters, frame.worlds))
             world = _first_failure_world(model, failing)

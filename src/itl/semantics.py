@@ -26,7 +26,7 @@ from .frames import (
     Valuation,
     WindowOverflowError,
 )
-from .limits import DEFAULT_CHUNK_BITS, DEFAULT_MAX_ATOMS, ResourceCapError
+from .limits import DEFAULT_MAX_ATOMS, ResourceCapError
 from .syntax import (
     And,
     FalseBool,
@@ -167,7 +167,6 @@ def rule_valid_in_frame(
     rule: Rule,
     *,
     max_atoms: Optional[int] = None,
-    chunk_bits: int = DEFAULT_CHUNK_BITS,
     jobs: int = 1,
 ) -> bool:
     """True iff the rule is valid under every valuation of its letters on ``frame``.
@@ -175,7 +174,7 @@ def rule_valid_in_frame(
     ``jobs`` is accepted for compatibility and has no effect.
     """
     _guard_frame_rule(frame, rule, max_atoms)
-    found = tables.scan_valuations(frame, rule.letters, rule_refutation_mask(rule), chunk_bits=chunk_bits)
+    found = tables.scan_valuations(frame, rule.letters, rule_refutation_mask(rule))
     return found is None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 class Formula:
@@ -73,6 +73,14 @@ class Until(Formula):
 
 TRUE = TrueBool()
 FALSE = FalseBool()
+
+
+def box(f: Formula) -> Formula:
+    return Not(Until(TRUE, Not(f)))
+
+
+def diamond(f: Formula) -> Formula:
+    return Until(TRUE, f)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -189,13 +197,36 @@ class Rule:
 
 
 # ---------------------------------------------------------------------------
-# Parsing.
-#
-# Grammar (ASCII): letters [a-z][a-zA-Z0-9_]*, "true", "false";
-# prefix !, X, G, F; infix U (left-assoc), &, | (left-assoc), -> (right-assoc);
-# precedence, tightest first: {! X G F}, U, &, |, ->.
-# G and F are expanded at parse time, so the result is a kernel formula.
+# Parsing and printing, both driven by one operator table.
 # ---------------------------------------------------------------------------
+
+
+class _Op(NamedTuple):
+    """One operator of the grammar."""
+
+    build: Callable[..., Formula]
+    level: int  # binding strength: a higher level binds tighter
+    right: bool = False  # right-associative
+    cost: int = 1  # nesting levels it adds when it recurses into its right operand
+
+
+# Every prefix operator binds tighter than every infix one.  A prefix
+# operator's cost is also the height of its expansion: G expands to
+# !(true U !...), so it costs three, as printing it back takes two prefix
+# operators and a parenthesis.
+_INFIX = {
+    "->": _Op(Implies, 1, right=True),
+    "|": _Op(Or, 2),
+    "&": _Op(And, 3),
+    "U": _Op(Until, 4),
+}
+_PREFIX = {
+    "!": _Op(Not, 5),
+    "X": _Op(Next, 5),
+    "G": _Op(box, 5, cost=3),
+    "F": _Op(diamond, 5),
+}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
 
 
 class ParseError(ValueError):
@@ -208,11 +239,9 @@ class ParseError(ValueError):
 
 _NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
-_SINGLE = {"!": "not", "&": "and", "|": "or", "(": "lparen", ")": "rparen"}
-_PREFIX_OPS = {"X": "next", "G": "box", "F": "diamond"}
-
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, column)`` triples; an operator or parenthesis is its own kind."""
     tokens = []
     i = 0
     while i < len(text):
@@ -221,56 +250,44 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch in _SINGLE:
-            tokens.append((_SINGLE[ch], ch, col))
-            i += 1
+        name = _NAME_RE.match(text, i)
+        if name:
+            word = name.group()
+            tokens.append((word if word in _CONSTANTS else "name", word, col))
+            i = name.end()
+            continue
+        symbol = "->" if text.startswith("->", i) else ch
+        if symbol in _INFIX or symbol in _PREFIX or symbol in "()":
+            tokens.append((symbol, symbol, col))
+            i += len(symbol)
             continue
         if ch == "-":
-            if text.startswith("->", i):
-                tokens.append(("implies", "->", col))
-                i += 2
-                continue
             raise ParseError("expected '->'", col)
-        if ch.islower():
-            m = _NAME_RE.match(text, i)
-            assert m is not None
-            word = m.group()
-            if word == "true":
-                tokens.append(("true", word, col))
-            elif word == "false":
-                tokens.append(("false", word, col))
-            else:
-                tokens.append(("name", word, col))
-            i = m.end()
-            continue
         if ch.isupper():
-            if ch == "U":
-                tokens.append(("until", ch, col))
-            elif ch in _PREFIX_OPS:
-                tokens.append((_PREFIX_OPS[ch], ch, col))
-            else:
-                raise ParseError(f"unknown operator token {ch!r}", col)
-            i += 1
-            continue
+            raise ParseError(f"unknown operator token {ch!r}", col)
         raise ParseError(f"unexpected character {ch!r}", col)
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
-# Deepest nesting of parentheses, prefix operators and right-nested
-# implications the parser accepts.  Each level costs the parser up to six
-# Python frames, so the limit keeps the parser inside the interpreter's
-# recursion limit.  It does not bound tree depth: the ``&``, ``|`` and ``U``
-# loops build left-deep chains the counter never sees, and a long enough chain
-# still overflows the recursion of printing and evaluation (ROADMAP item 5).
-# ``G`` counts three levels because it prints as ``!(true U !...)``: the
+# Deepest nesting the parser accepts: a parenthesis adds one level, a prefix
+# operator or a right-nested ``->`` its ``cost`` in the operator table.  Each
+# level costs the parser up to seven Python frames, so the limit keeps the
+# parser inside the interpreter's recursion limit.  Chains of ``&``, ``|``
+# and ``U`` are built in a loop and nest no deeper, so the parser also
+# rejects a tree more than ``2 * MAX_NESTING`` nodes high: printing,
+# evaluation and structural equality recurse over the tree's height.  The
 # printed form of every accepted formula is accepted again.
 MAX_NESTING = 100
 
-_PREFIX_KINDS = ("not", *_PREFIX_OPS.values())
-
 
 class _Parser:
+    """Precedence climbing over the operator table.
+
+    Each method returns a formula together with its tree height, a leaf
+    counting one.
+    """
+
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
@@ -284,71 +301,58 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def nested(self, parse: Callable[[], Formula], col: int, levels: int = 1) -> Formula:
-        """Run ``parse`` ``levels`` nesting levels deeper; ``col`` locates the opening token."""
+    def nested(self, col: int, levels: int, parse: Callable[..., tuple[Formula, int]], *args) -> tuple[Formula, int]:
+        """Run ``parse(*args)`` ``levels`` nesting levels deeper; ``col`` locates the opening token."""
         if self.depth + levels > MAX_NESTING:
             raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", col)
         self.depth += levels
-        f = parse()
+        parsed = parse(*args)
         self.depth -= levels
-        return f
+        return parsed
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "implies":
-            col = self.take()[2]
-            return Implies(left, self.nested(self.implies, col))
-        return left
+    @staticmethod
+    def node(f: Formula, height: int, col: int) -> tuple[Formula, int]:
+        """``f`` with its height, unless the tree is too high; ``col`` locates its operator."""
+        if height > 2 * MAX_NESTING:
+            raise ParseError(f"formula tree higher than {2 * MAX_NESTING} levels", col)
+        return f, height
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "or":
+    def infix(self, level: int = 1) -> tuple[Formula, int]:
+        """Operands joined by infix operators that bind at least as tightly as ``level``."""
+        left, height = self.unary()
+        while True:
+            kind, _, col = self.peek()
+            op = _INFIX.get(kind)
+            if op is None or op.level < level:
+                return left, height
             self.take()
-            f = Or(f, self.conjunction())
-        return f
+            if op.right:
+                right, right_height = self.nested(col, op.cost, self.infix, op.level)
+            else:
+                right, right_height = self.infix(op.level + 1)
+            left, height = self.node(op.build(left, right), 1 + max(height, right_height), col)
 
-    def conjunction(self) -> Formula:
-        f = self.until()
-        while self.peek()[0] == "and":
-            self.take()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "until":
-            self.take()
-            f = Until(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, _, col = self.peek()
-        if kind not in _PREFIX_KINDS:
+        op = _PREFIX.get(kind)
+        if op is None:
             return self.atom()
         self.take()
-        arg = self.nested(self.unary, col, 3 if kind == "box" else 1)
-        if kind == "not":
-            return Not(arg)
-        if kind == "next":
-            return Next(arg)
-        if kind == "box":
-            return Not(Until(TRUE, Not(arg)))
-        return Until(TRUE, arg)
+        arg, height = self.nested(col, op.cost, self.unary)
+        return self.node(op.build(arg), height + op.cost, col)
 
-    def atom(self) -> Formula:
+    def atom(self) -> tuple[Formula, int]:
         kind, text, col = self.take()
         if kind == "name":
-            return Letter(text)
-        if kind == "true":
-            return TRUE
-        if kind == "false":
-            return FALSE
-        if kind == "lparen":
-            f = self.nested(self.implies, col)
+            return Letter(text), 1
+        if kind in _CONSTANTS:
+            return _CONSTANTS[kind], 1
+        if kind == "(":
+            parsed = self.nested(col, 1, self.infix)
             k2, _, col2 = self.take()
-            if k2 != "rparen":
+            if k2 != ")":
                 raise ParseError("unbalanced parentheses", col2)
-            return f
+            return parsed
         raise ParseError(f"expected a formula, found {text!r}" if text else "unexpected end of input", col)
 
 
@@ -357,11 +361,13 @@ def parse_formula(text: str) -> Formula:
 
     Parentheses, prefix operators (``!``, ``X``, ``F``, and ``G`` counting
     three) and right-nested implications may nest at most
-    :data:`MAX_NESTING` levels deep; deeper text raises :class:`ParseError`
-    at the column of the first token past the limit.
+    :data:`MAX_NESTING` levels deep, and the tree, chains of ``&``, ``|``
+    and ``U`` included, may be at most ``2 * MAX_NESTING`` nodes high.
+    Text past either limit raises :class:`ParseError` at the column of the
+    operator or parenthesis that crosses it.
     """
     p = _Parser(_tokenize(text))
-    f = p.implies()
+    f, _ = p.infix()
     kind, tok, col = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {tok!r}", col)
@@ -377,64 +383,38 @@ def parse_rule(text: str) -> Rule:
     return Rule(premises, parse_formula(concl_text))
 
 
-# ---------------------------------------------------------------------------
-# Printing.  Levels mirror the parser so parse(print(f)) == f.
-# ---------------------------------------------------------------------------
-
-_LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNTIL, _LEVEL_UNARY, _LEVEL_ATOM = range(6)
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Implies):
-        return _LEVEL_IMPLIES
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Until):
-        return _LEVEL_UNTIL
-    if isinstance(f, (Not, Next)):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
+# Kernel class -> (spelling, table entry, infix?).  G and F expand to kernel
+# nodes at parse time, so only the operators with a kernel class print.
+_PRINTED = {op.build: (f" {symbol} ", op, True) for symbol, op in _INFIX.items()}
+_PRINTED.update(
+    (op.build, (symbol + " " if symbol.isalpha() else symbol, op, False))
+    for symbol, op in _PREFIX.items()
+    if isinstance(op.build, type)
+)
+_SPELLED_CONSTANTS = {type(c): word for word, c in _CONSTANTS.items()}
 
 
 def _print_at(f: Formula, level: int, out: list[str]) -> None:
-    own = _level(f)
-    if own < level:
+    """Print ``f`` where the context requires binding strength ``level``."""
+    printed = _PRINTED.get(type(f))
+    if printed is None:
+        word = f.name if isinstance(f, Letter) else _SPELLED_CONSTANTS.get(type(f))
+        if word is None:
+            raise TypeError(f"not a formula: {f!r}")
+        out.append(word)
+        return
+    spelling, op, infix = printed
+    if op.level < level:
         out.append("(")
         _print_at(f, 0, out)
         out.append(")")
-        return
-    if isinstance(f, Letter):
-        out.append(f.name)
-    elif isinstance(f, TrueBool):
-        out.append("true")
-    elif isinstance(f, FalseBool):
-        out.append("false")
-    elif isinstance(f, Not):
-        out.append("!")
-        _print_at(f.arg, _LEVEL_UNARY, out)
-    elif isinstance(f, Next):
-        out.append("X ")
-        _print_at(f.arg, _LEVEL_UNARY, out)
-    elif isinstance(f, Until):
-        _print_at(f.left, _LEVEL_UNTIL, out)
-        out.append(" U ")
-        _print_at(f.right, _LEVEL_UNTIL + 1, out)
-    elif isinstance(f, And):
-        _print_at(f.left, _LEVEL_AND, out)
-        out.append(" & ")
-        _print_at(f.right, _LEVEL_AND + 1, out)
-    elif isinstance(f, Or):
-        _print_at(f.left, _LEVEL_OR, out)
-        out.append(" | ")
-        _print_at(f.right, _LEVEL_OR + 1, out)
-    elif isinstance(f, Implies):
-        _print_at(f.left, _LEVEL_IMPLIES + 1, out)
-        out.append(" -> ")
-        _print_at(f.right, _LEVEL_IMPLIES, out)
+    elif not infix:
+        out.append(spelling)
+        _print_at(f.arg, op.level, out)
     else:
-        raise TypeError(f"not a formula: {f!r}")
+        _print_at(f.left, op.level + 1 if op.right else op.level, out)
+        out.append(spelling)
+        _print_at(f.right, op.level if op.right else op.level + 1, out)
 
 
 def print_formula(f: Formula) -> str:
@@ -524,14 +504,6 @@ class KSince(DerivedOp):
     """Held continuously since the trigger event."""
 
     trigger: Formula = TRUE
-
-
-def box(f: Formula) -> Formula:
-    return Not(Until(TRUE, Not(f)))
-
-
-def diamond(f: Formula) -> Formula:
-    return Until(TRUE, f)
 
 
 def next_iter(f: Formula, k: int) -> Formula:

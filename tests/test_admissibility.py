@@ -15,10 +15,12 @@ from itl import (
     check_certificate,
     decide_admissible,
     decide_uniform_theorem,
+    letters_of,
     parse_formula,
     parse_rule,
     rule_valid_in_frame,
     search_refuting_substitution,
+    subformulas,
     substitution_pool,
 )
 
@@ -47,6 +49,20 @@ def test_substitution_is_simultaneous():
     # x and y swap without interference
     swapped = apply_substitution(parse_formula("x U y"), {"x": Letter("y"), "y": Letter("x")})
     assert swapped == parse_formula("y U x")
+
+
+def test_renaming_letters_and_back_gives_the_original():
+    rng = random.Random(29)
+    there = {"p": Letter("a"), "q": Letter("b"), "r": Letter("c")}
+    back = {"a": p, "b": q, "c": Letter("r")}
+    constructors = set()
+    for _ in range(200):
+        f = random_formula(rng, letters=3, depth=5)
+        constructors.update(type(g) for g in subformulas(f))
+        renamed = apply_substitution(f, there)
+        assert set(letters_of(renamed)) <= {"a", "b", "c"}
+        assert apply_substitution(renamed, back) == f
+    assert len(constructors) == 9  # every kernel constructor was rebuilt
 
 
 # --- the pool ----------------------------------------------------------------

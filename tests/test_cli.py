@@ -5,6 +5,7 @@ import json
 import pytest
 
 from itl.cli import main
+from itl.syntax import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -319,3 +320,30 @@ def test_deep_nesting_is_a_parse_error(capsys, formula):
     code, out, err = run(capsys, "decide", "--m", "1", "--formula", formula)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "nested deeper" in err
+
+
+CHAIN_COMMANDS = {
+    "decide": ("decide", "--m", "1", "--formula"),
+    "refute": ("refute", "--max-worlds", "2", "--max-reach", "1", "--formula"),
+    "rnf": ("rnf", "--rule"),
+    "parse": ("parse",),
+}
+
+
+@pytest.mark.parametrize("op", ["&", "U"])
+@pytest.mark.parametrize("command", sorted(CHAIN_COMMANDS))
+def test_long_chain_is_a_parse_error(capsys, command, op):
+    chain = f" {op} ".join(["p"] * 1000)
+    text = chain + " / p" if command == "rnf" else chain
+    code, out, err = run(capsys, *CHAIN_COMMANDS[command], text)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "higher than" in err
+
+
+@pytest.mark.parametrize("op", ["&", "U"])
+@pytest.mark.parametrize("command", ["decide", "refute"])
+def test_chain_at_the_height_limit_runs(capsys, command, op):
+    chain = f" {op} ".join(["p", "q"] * MAX_NESTING)  # a tree 2 * MAX_NESTING nodes high
+    code, out, err = run(capsys, *CHAIN_COMMANDS[command], chain)
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] in {"theorem", "non_theorem", "inconclusive"}

@@ -95,6 +95,9 @@ def test_parse_constants_and_identifiers():
         ("!" * MAX_NESTING + "X p", MAX_NESTING + 1),
         ("G " * (MAX_NESTING // 3 + 1) + "p", 2 * (MAX_NESTING // 3) + 1),
         ("p -> " * (MAX_NESTING + 1) + "p", 5 * MAX_NESTING + 3),
+        ("p & " * (2 * MAX_NESTING) + "p", 8 * MAX_NESTING - 1),  # the & that makes the tree too high
+        ("!(" + "p U " * (2 * MAX_NESTING - 1) + "p)", 1),
+        ("q é", 3),
     ],
 )
 def test_parse_errors_carry_one_based_columns(text, column):
@@ -112,6 +115,8 @@ def test_parse_errors_carry_one_based_columns(text, column):
         "F " * MAX_NESTING + "p",
         "p -> " * MAX_NESTING + "p",
         "(p U " * (MAX_NESTING // 2) + "q" + ")" * (MAX_NESTING // 2),
+        "p & " * (2 * MAX_NESTING - 1) + "p",
+        "!(" + "p U " * (2 * MAX_NESTING - 2) + "p)",
     ],
 )
 def test_formulas_at_the_nesting_limit_parse_and_print_round_trip(text):
@@ -128,6 +133,34 @@ def test_parse_rule_text():
 
 # --- printing --------------------------------------------------------------
 
+# (outer, inner, inner as the left operand, inner as the right operand)
+NESTED_INFIX = [
+    (Implies, Implies, "(p -> q) -> r", "p -> q -> r"),
+    (Implies, Or, "p | q -> r", "p -> q | r"),
+    (Implies, And, "p & q -> r", "p -> q & r"),
+    (Implies, Until, "p U q -> r", "p -> q U r"),
+    (Or, Implies, "(p -> q) | r", "p | (q -> r)"),
+    (Or, Or, "p | q | r", "p | (q | r)"),
+    (Or, And, "p & q | r", "p | q & r"),
+    (Or, Until, "p U q | r", "p | q U r"),
+    (And, Implies, "(p -> q) & r", "p & (q -> r)"),
+    (And, Or, "(p | q) & r", "p & (q | r)"),
+    (And, And, "p & q & r", "p & (q & r)"),
+    (And, Until, "p U q & r", "p & q U r"),
+    (Until, Implies, "(p -> q) U r", "p U (q -> r)"),
+    (Until, Or, "(p | q) U r", "p U (q | r)"),
+    (Until, And, "(p & q) U r", "p U (q & r)"),
+    (Until, Until, "p U q U r", "p U (q U r)"),
+]
+
+# (infix, under !, under X)
+PREFIX_OVER_INFIX = [
+    (Implies, "!(p -> q)", "X (p -> q)"),
+    (Or, "!(p | q)", "X (p | q)"),
+    (And, "!(p & q)", "X (p & q)"),
+    (Until, "!(p U q)", "X (p U q)"),
+]
+
 
 @pytest.mark.parametrize(
     "f, text",
@@ -138,6 +171,10 @@ def test_parse_rule_text():
         (Implies(Implies(p, q), r), "(p -> q) -> r"),
         (Until(p, Until(q, r)), "p U (q U r)"),
         (Next(And(p, q)), "X (p & q)"),
+        *((outer(inner(p, q), r), left) for outer, inner, left, _ in NESTED_INFIX),
+        *((outer(p, inner(q, r)), right) for outer, inner, _, right in NESTED_INFIX),
+        *((Not(inner(p, q)), under_not) for inner, under_not, _ in PREFIX_OVER_INFIX),
+        *((Next(inner(p, q)), under_next) for inner, _, under_next in PREFIX_OVER_INFIX),
     ],
 )
 def test_print_minimal_parentheses(f, text):
