@@ -12,6 +12,7 @@ corresponding flags are absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -256,10 +257,15 @@ _USER_ERRORS = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

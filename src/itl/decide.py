@@ -22,7 +22,9 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterator, Mapping, Optional, Union
 
-from .frames import FiniteLassoFrame, Model, UniformWindowFrame, model_from_dict, model_to_dict
+import numpy as np
+
+from .frames import FiniteLassoFrame, LassoRun, Model, UniformWindowFrame, model_from_dict, model_to_dict
 from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from .semantics import eval_nt, formula_valid_in_model, rule_refutation_mask
 from .syntax import Formula, Rule, letters_of, parse_formula, parse_rule, print_formula, print_rule, reach
@@ -137,6 +139,14 @@ def iter_lasso_frames(max_worlds: int, max_reach: int) -> Iterator[FiniteLassoFr
                 yield FiniteLassoFrame(worlds, loop, d)
 
 
+def iter_lasso_runs(max_worlds: int, max_reach: int) -> Iterator[LassoRun]:
+    """The frames of :func:`iter_lasso_frames`, in the same order, as one run per ``(worlds, loop)`` shape."""
+    for worlds in range(1, max_worlds + 1):
+        reaches = np.array(list(combinations_with_replacement(range(1, min(max_reach, worlds) + 1), worlds)))
+        for loop in range(worlds):
+            yield LassoRun(worlds, loop, reaches)
+
+
 def bounded_nt_refutation(
     target: Union[Formula, Rule],
     max_worlds: int,
@@ -147,8 +157,11 @@ def bounded_nt_refutation(
     """Sound countermodel search over finite lasso frames.
 
     Enumerates frames and valuations in a fixed order and returns the first
-    countermodel as a NonTheorem certificate; if none exists under the caps
-    the result is Inconclusive (never Theorem: the complete size bound of
+    countermodel as a NonTheorem certificate.  The frames of one shape are
+    scanned together, as a :class:`LassoRun` from :func:`iter_lasso_runs`;
+    its first hit is the hit a frame-by-frame scan would find first.  If no
+    countermodel exists under the caps the result is Inconclusive (never
+    Theorem: the complete size bound of
     :func:`finite_model_size_bound` is astronomically large).  ``jobs`` is
     accepted for compatibility and has no effect.
     """
@@ -163,10 +176,12 @@ def bounded_nt_refutation(
         letters = letters_of(target)
         mask = lambda ev: ~ev.everywhere(target)  # noqa: E731
         failing = target
-    for frame in iter_lasso_frames(max_worlds, max_reach):
-        found = scan_valuations(frame, letters, mask)
+    for run in iter_lasso_runs(max_worlds, max_reach):
+        found = scan_valuations(run, letters, mask)
         if found is not None:
-            model = Model(frame, decode_valuation(found, letters, frame.worlds))
+            n_bits = len(letters) * run.worlds
+            frame = run.frame(found >> n_bits)
+            model = Model(frame, decode_valuation(found & ((1 << n_bits) - 1), letters, frame.worlds))
             world = _first_failure_world(model, failing)
             return Verdict(VerdictKind.NON_THEOREM, Countermodel(model, world, target))
     return Verdict(VerdictKind.INCONCLUSIVE, caps=caps)

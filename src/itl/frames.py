@@ -5,7 +5,9 @@ segment of the uniform-memory line: world ``a`` sees the interval
 ``[a, a+m]``.  A :class:`FiniteLassoFrame` is a Next-chain whose last world
 loops back to ``loop``, with a per-world reach length ``d_i`` giving how many
 Next-steps world ``i`` can see; windows follow the Next path and may wrap
-through the loop edge.
+through the loop edge.  A :class:`LassoRun` holds the lasso frames of one
+shape (same size and loop target) that differ only in their reach lengths,
+so that the batch engine can evaluate them together.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import IO, Mapping, Union
+
+import numpy as np
 
 
 class FrameError(ValueError):
@@ -97,6 +101,44 @@ class FiniteLassoFrame:
             w = self.next_world(w)
             out.append(w)
         return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class LassoRun:
+    """Lasso frames of one shape, side by side: ``worlds`` worlds looping back to ``loop``.
+
+    Frame ``i`` of the run is ``FiniteLassoFrame(worlds, loop, reaches[i])``.
+    The frames share Next and the path of every window; they differ only in
+    how far each world's window reaches.  ``reaches`` is kept as a read-only
+    ``(frames, worlds)`` integer array, which the batch engine reads as is.
+    """
+
+    worlds: int
+    loop: int
+    reaches: np.ndarray
+
+    def __post_init__(self) -> None:
+        reaches = np.array(self.reaches, dtype=np.int64)
+        if self.worlds < 1:
+            raise FrameError("a frame needs at least one world")
+        if not 0 <= self.loop < self.worlds:
+            raise FrameError(f"loop target {self.loop} out of range for {self.worlds} worlds")
+        if reaches.ndim != 2 or reaches.shape[0] < 1 or reaches.shape[1] != self.worlds:
+            raise FrameError(f"a run needs one or more vectors of {self.worlds} reach lengths")
+        if (reaches[:, 1:] < reaches[:, :-1]).any() or reaches[:, 0].min() < 1 or reaches[:, -1].max() > self.worlds:
+            raise FrameError("reach lengths must lie in 1..worlds and be non-decreasing")
+        reaches.flags.writeable = False
+        object.__setattr__(self, "reaches", reaches)
+
+    def __len__(self) -> int:
+        return len(self.reaches)
+
+    def frame(self, i: int) -> FiniteLassoFrame:
+        return FiniteLassoFrame(self.worlds, self.loop, tuple(int(d) for d in self.reaches[i]))
+
+    @property
+    def frames(self) -> tuple[FiniteLassoFrame, ...]:
+        return tuple(self.frame(i) for i in range(len(self)))
 
 
 Frame = Union[UniformWindowFrame, FiniteLassoFrame]

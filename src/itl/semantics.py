@@ -154,7 +154,7 @@ def rule_refutation_mask(rule: Rule):
 
 
 def _reduced_fail_mask(ev, rnf: normalform.ReducedNormalFormRule) -> np.ndarray:
-    count = len(ev.indices)
+    count = ev.words * tables.WORD_BITS  # padding included: frames of fewer than 64 valuations fill a word each
     realized = np.zeros((ev.worlds, count), dtype=np.uint64)
     for j, atom in enumerate(rnf.atom_formulas()):
         realized |= tables.unpack(ev.table(atom), count).astype(np.uint64) << np.uint64(j)

@@ -530,7 +530,24 @@ def _require(value: int | None, fallback: int | None, what: str, minimum: int) -
         raise ValueError(f"missing {what}")
     if v < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {v}")
+    if v > 2 * MAX_NESTING:  # each unit adds a level: refuse before building the tree
+        raise ValueError(f"{what} {v} makes the expanded tree higher than {2 * MAX_NESTING} levels")
     return v
+
+
+def _height(f: Formula) -> int:
+    """Tree height, a leaf counting one; iterative, so any height can be measured."""
+    heights: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        pending = [c for c in children(g) if id(c) not in heights]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        heights[id(g)] = 1 + max((heights[id(c)] for c in children(g)), default=0)
+    return heights[id(f)]
 
 
 def _k_past(f: Formula, m: int) -> Formula:
@@ -547,11 +564,18 @@ def expand_derived(
 
     All operators are unary in their subject formula; ``KSince`` carries its
     trigger inside the operator.  ``m``/``k`` fill in parameters the operator
-    instance left unset.
+    instance left unset.  Like the parser, it refuses (``ValueError``) a
+    result more than ``2 * MAX_NESTING`` nodes high.
     """
     if len(args) != 1:
         raise ValueError(f"{type(op).__name__} takes exactly one formula, got {len(args)}")
-    f = args[0]
+    f = _expand(op, args[0], m, k)
+    if _height(f) > 2 * MAX_NESTING:
+        raise ValueError(f"expanded formula tree higher than {2 * MAX_NESTING} levels")
+    return f
+
+
+def _expand(op: DerivedOp, f: Formula, m: int | None, k: int | None) -> Formula:
     if isinstance(op, Box):
         return box(f)
     if isinstance(op, Diamond):

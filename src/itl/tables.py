@@ -2,31 +2,47 @@
 
 A valuation over ``n`` letters and ``W`` worlds is encoded as an integer
 code: letter ``i`` is true at world ``a`` in valuation ``v`` iff bit
-``i*W + a`` of ``v`` is set.  :class:`BatchEvaluator` evaluates a formula on
-every valuation of a contiguous block of codes at once.  Its tables are
-``(W, words)`` ``uint64`` arrays holding 64 valuations per word: valuation
-``start + 64*j + b`` of the block is bit ``b`` of word ``j``, where ``start``
-is a multiple of 64.  Bits past the block's end (only the last word of a
-block shorter than 64 valuations has any) hold unspecified values; whoever
-reads a table masks them.
+``i*W + a`` of ``v`` is set.  The engine evaluates one frame, or a
+:class:`~itl.frames.LassoRun` of lasso frames of one shape, and numbers the
+valuations of a run frame-major: with ``N = n*W`` valuation bits, code ``g``
+is valuation ``g mod 2**N`` of frame ``g >> N``.  A single frame is the
+one-frame case.
 
-Because the block starts on a word boundary, a letter's row needs no
+:class:`BatchEvaluator` evaluates a formula on every valuation of a
+contiguous block of codes at once.  Its tables are ``(W, words)`` ``uint64``
+arrays holding 64 valuations per word, frame-major along the word axis with
+every frame padded to whole words.  With ``N >= 6`` code ``g`` is bit
+``g % 64`` of global word ``g // 64``, so a frame fills ``2**(N-6)`` words
+and a block's table starts at the global word of its first code.  With
+``N < 6`` each frame is one word whose bit ``c`` holds the frame's valuation
+``c``; its bits ``2**N`` and up are padding and hold unspecified values,
+which whoever reads a table masks.
+
+Because blocks start on a word boundary, a letter's row needs no
 per-valuation work: an atom bit ``k < 6`` is the same periodic word
 (``0xAAAA…``, ``0xCCCC…``, …) everywhere, and an atom bit ``k >= 6`` makes
 word ``j`` all ones exactly when bit ``k - 6`` of the global word index is
-set.  Connectives are word operations.  :func:`scan_valuations` drives a
-full enumeration in chunks and returns the first valuation code some
-caller-made predicate flags.  Enumeration order is the plain binary order of
-the codes, which is what makes search results reproducible.
+set, which repeats the frame's pattern in every frame of a run.  Connectives
+are word operations, and Next is ``t[succ]``, the same for every frame of a
+run.  Until walks the path the run's windows share, ``path(a, s)``, and ORs
+in step ``s`` only where the frame owning the word sees at least ``s`` steps
+from ``a``: it skips the worlds no frame of the block sees that far from (on
+a uniform frame, the rows past the window cutoff, so the gate is constant
+per row) and ANDs a per-frame gate word where the block's frames differ.
+:func:`scan_valuations` drives a full enumeration and returns the first
+code some caller-made predicate flags.  Enumeration order is the plain
+binary order of the codes, frame by frame, which is what makes search
+results reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .frames import FiniteLassoFrame, Frame, Valuation
+from .frames import Frame, LassoRun, UniformWindowFrame, Valuation
 from .limits import DEFAULT_CHUNK_BITS
 from .syntax import And, FalseBool, Formula, Implies, Letter, Next, Not, Or, TrueBool, Until
 
@@ -37,12 +53,33 @@ _LOW_MASKS = tuple(
     np.uint64(sum(1 << b for b in range(WORD_BITS) if (b >> k) & 1)) for k in range(6)
 )
 
+Frames = Union[Frame, LassoRun]
+
+
+def _shape(frame: Frames) -> tuple[np.ndarray, np.ndarray]:
+    """Successor of every world, and reach lengths with one row per frame."""
+    worlds = frame.worlds
+    if isinstance(frame, UniformWindowFrame):
+        succ = [*range(1, worlds), worlds - 1]  # last row is guard zone
+        reaches = [[min(frame.measure, worlds - 1 - a) for a in range(worlds)]]
+    else:
+        succ = [*range(1, worlds), frame.loop]
+        reaches = frame.reaches if isinstance(frame, LassoRun) else [frame.reach]
+    return np.array(succ), np.asarray(reaches)
+
+
+def _frame_count(frame: Frames) -> int:
+    return len(frame) if isinstance(frame, LassoRun) else 1
+
 
 class BatchEvaluator:
-    """Packed truth tables for one frame and one block of valuation codes.
+    """Packed truth tables for one frame or run and one block of valuation codes.
 
-    ``indices`` is a contiguous ``range`` of codes whose start is a multiple
-    of 64.  ``table(f)[a]`` is the packed truth of ``f`` at world ``a``.
+    ``frame`` is a frame or a :class:`~itl.frames.LassoRun`, and ``indices``
+    a contiguous ``range`` of its codes in the frame-major numbering of the
+    module docstring.  The block starts on a word boundary: a multiple of 64,
+    or of the frame's ``2**N`` valuations when a frame has fewer than 64.
+    ``table(f)[a]`` is the packed truth of ``f`` at world ``a``.
 
     On uniform frames the rows past a formula's window guarantee hold
     unspecified values; callers must only read rows ``a`` with
@@ -50,31 +87,30 @@ class BatchEvaluator:
     a frame sized to fit).
     """
 
-    def __init__(self, frame: Frame, letters: Sequence[str], indices: range):
+    def __init__(self, frame: Frames, letters: Sequence[str], indices: range):
         if not isinstance(indices, range) or indices.step != 1:
             raise TypeError("indices must be a contiguous range of valuation codes")
-        if indices.start % WORD_BITS:
-            raise ValueError(f"a block must start at a multiple of {WORD_BITS}, not {indices.start}")
         self.frame = frame
         self.letters = tuple(letters)
         self.indices = indices
         self.worlds = frame.worlds
-        self.words = -(-len(indices) // WORD_BITS)
+        n_bits = len(self.letters) * self.worlds
+        shift = min(n_bits, 6)  # log2 of the codes one word holds
+        if indices.start % (1 << shift):
+            raise ValueError(f"a block must start at a multiple of {1 << shift}, not {indices.start}")
+        self._succ, reaches = _shape(frame)
+        if indices.stop > len(reaches) << n_bits:
+            raise ValueError(f"block ends at code {indices.stop}, past the last frame")
+        self.words = -(-len(indices) >> shift)
         self._pos = {name: i for i, name in enumerate(self.letters)}
-        first_word = indices.start // WORD_BITS
+        first_word = indices.start >> shift
         self._word_index = np.arange(first_word, first_word + self.words, dtype=np.uint64)
-        if isinstance(frame, FiniteLassoFrame):
-            succ = [frame.next_world(a) for a in range(frame.worlds)]
-        else:
-            succ = list(range(1, frame.worlds)) + [frame.worlds - 1]  # last row is guard zone
-        self._succ = np.array(succ)
-        # Until steps: row s holds the s-th world of every window, padded
-        # with index ``worlds``, which _until maps to an all-false row.
-        windows = [frame.window(a) for a in range(frame.worlds)]
-        steps = np.full((max(map(len, windows)), frame.worlds), frame.worlds)
-        for a, win in enumerate(windows):
-            steps[: len(win), a] = win
-        self._steps = steps
+        # A block lies inside one frame or holds whole frames; _reach is
+        # (worlds, frames in the block, 1), the reach lengths Until gates on.
+        lo, hi = indices.start >> n_bits, -(-indices.stop >> n_bits)
+        if hi - lo > 1 and (indices.start | indices.stop) & ((1 << n_bits) - 1):
+            raise ValueError("a block that spans frames must hold whole frames")
+        self._reach = reaches[lo:hi].T[:, :, None]
         self._memo: dict[int, np.ndarray] = {}
         self._pinned: list[Formula] = []  # keeps ids in _memo from being recycled
 
@@ -122,15 +158,36 @@ class BatchEvaluator:
                 rows[a] = -((self._word_index >> np.uint64(k - 6)) & np.uint64(1))
         return rows
 
+    @cached_property
+    def _until_steps(self) -> list[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
+        """Per step ``s >= 1``: the worlds some frame sees ``s`` steps from, ``path(a, s)`` there, and the gate.
+
+        The worlds are a slice, a prefix on a uniform frame and a suffix on
+        lasso frames, and shrink as ``s`` grows.  The gate holds, per world
+        of the slice and per frame of the block, the word "reach at ``a`` >=
+        ``s``"; it is None where every frame passes, as on a single frame.
+        """
+        steps = []
+        path = np.arange(self.worlds)
+        for s in range(1, int(self._reach.max()) + 1):
+            path = self._succ[path]
+            sees = self._reach >= s
+            active = np.flatnonzero(sees.any(axis=(1, 2)))
+            rows = slice(int(active[0]), int(active[-1]) + 1)
+            gate = None if sees[rows].all() else np.where(sees[rows], _ONES, np.uint64(0))
+            steps.append((rows, path[rows], gate))
+        return steps
+
     def _until(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        false_row = np.zeros((1, self.words), dtype=np.uint64)
-        left = np.vstack((left, false_row))
-        right = np.vstack((right, false_row))
-        res = right[self._steps[0]]
-        pref = left[self._steps[0]]
-        for row in self._steps[1:]:
-            res |= pref & right[row]
-            pref &= left[row]
+        res = right.copy()
+        pref = left.copy()
+        for rows, path, gate in self._until_steps:
+            step = pref[rows] & right[path]
+            if gate is not None:
+                by_frame = step.reshape(gate.shape[:2] + (-1,))  # a view: one row of words per frame
+                by_frame &= gate
+            res[rows] |= step
+            pref[rows] &= left[path]
         return res
 
 
@@ -151,7 +208,7 @@ def pack(bits: np.ndarray) -> np.ndarray:
 
 
 def scan_valuations(
-    frame: Frame,
+    frame: Frames,
     letters: Sequence[str],
     fail_mask: FailMask,
     *,
@@ -159,27 +216,27 @@ def scan_valuations(
 ) -> Optional[int]:
     """First valuation code flagged by ``fail_mask``, or None.
 
-    Scans all ``2**(len(letters) * frame.worlds)`` valuations in binary
-    order.  ``fail_mask`` receives a :class:`BatchEvaluator` for one chunk
-    and returns a packed hit vector over ``evaluator.indices``.  A chunk is
-    at least one word (64 valuations) unless it is the whole space, so every
-    chunk starts on a word boundary.
+    Scans every valuation of every frame of ``frame`` (a frame or a
+    :class:`~itl.frames.LassoRun`) in code order, so for a run the result
+    ``g`` is valuation ``g mod 2**N`` of frame ``g >> N``, ``N`` being
+    ``len(letters) * frame.worlds``.  ``fail_mask`` receives a
+    :class:`BatchEvaluator` for one block and returns a packed hit vector
+    over its words.  A block holds whole frames up to ``2**chunk_bits``
+    valuations (at least one word, padding counted); a frame larger than
+    that is cut into word-aligned chunks.
     """
     n_bits = len(letters) * frame.worlds
-    total = 1 << n_bits
-    step = 1 << min(max(chunk_bits, 6), n_bits)
+    shift = min(n_bits, 6)
+    total = _frame_count(frame) << n_bits
+    step = 1 << (max(chunk_bits, 6) - 6 + shift)
+    valid = np.uint64((1 << (1 << n_bits)) - 1) if n_bits < 6 else _ONES  # the unpadded bits of a word
     for start in range(0, total, step):
-        block = range(start, min(start + step, total))
-        hits = fail_mask(BatchEvaluator(frame, letters, block))
-        tail = len(block) % WORD_BITS
-        if tail:
-            hits = hits.copy()
-            hits[-1] &= np.uint64((1 << tail) - 1)
+        hits = fail_mask(BatchEvaluator(frame, letters, range(start, min(start + step, total)))) & valid
         nonzero = np.flatnonzero(hits)
         if nonzero.size:
             j = int(nonzero[0])
             word = int(hits[j])
-            return start + WORD_BITS * j + (word & -word).bit_length() - 1
+            return start + (j << shift) + (word & -word).bit_length() - 1
     return None
 
 

@@ -162,6 +162,42 @@ def test_expand_command(capsys):
     assert code == 1 and "unknown operator" in err
 
 
+@pytest.mark.parametrize(
+    "op, k", [("next-iter", "1000"), ("box-iter", "400"), ("next-iter", "200"), ("box-iter", "67")]
+)
+def test_expand_past_the_height_limit_is_an_error(capsys, op, k):
+    code, out, err = run(capsys, "expand", "--op", op, "--k", k, "--formula", "p")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "higher than" in err
+
+
+def test_expand_at_the_height_limit_runs(capsys):
+    code, out, err = run(capsys, "expand", "--op", "next-iter", "--k", "199", "--formula", "p")
+    assert code == 0 and err == "" and out == "X " * 199 + "p\n"  # a tree 2 * MAX_NESTING nodes high
+    code, out, err = run(capsys, "expand", "--op", "box-iter", "--k", "66", "--formula", "p")
+    assert code == 0 and err == "" and out.count("true U") == 66
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_one(capsys):
+    from itl import cli
+
+    calls = [
+        ("decide", "--m", "1", "--formula", "p -> F p"),
+        ("refute", "--max-worlds", "2", "--max-reach", "1", "--rule", "X x / x"),
+        ("refute", "--max-worlds", "2", "--formula", "p"),  # usage error: --max-reach missing
+        ("--help",),
+        ("decide", "--help"),
+        ("decide", "--m", "1", "--formula", "p -> F p"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    reused = [run(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0]
+
+
 def test_vote_command(tmp_path, capsys):
     model = write_model(tmp_path, "multi.json", MULTI_MODEL)
     code, out, _ = run(capsys, "vote", "--model", model)

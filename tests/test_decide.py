@@ -9,6 +9,7 @@ from itl import (
     FiniteLassoFrame,
     Letter,
     Model,
+    Rule,
     UniformWindowFrame,
     Valuation,
     Verdict,
@@ -20,15 +21,20 @@ from itl import (
     eval_nt,
     finite_model_size_bound,
     iter_lasso_frames,
+    letters_of,
     parse_formula,
     parse_rule,
     reach,
+    to_reduced_normal_form,
     verdict_from_dict,
     verdict_to_dict,
 )
-from itl.decide import SearchCaps
+from itl.decide import SearchCaps, iter_lasso_runs, verdict_to_json
+from itl.normalform import match_reduced_form
+from itl.semantics import rule_refutation_mask
+from itl.tables import decode_valuation, scan_valuations
 
-from helpers import random_formula, random_uniform_model
+from helpers import random_formula, random_rule, random_uniform_model
 
 p = Letter("p")
 
@@ -150,6 +156,98 @@ def test_frame_enumeration_order():
     assert frames[3] == FiniteLassoFrame(2, 0, (2, 2))
     assert frames[4] == FiniteLassoFrame(2, 1, (1, 1))
     assert len(frames) == 7
+
+
+@pytest.mark.parametrize("caps", [(6, 4), (5, 5), (3, 2), (1, 1), (4, 1)])
+def test_runs_concatenate_to_the_frame_order(caps):
+    runs = list(iter_lasso_runs(*caps))
+    assert [frame for run in runs for frame in run.frames] == list(iter_lasso_frames(*caps))
+    assert len({(run.worlds, run.loop) for run in runs}) == len(runs)
+
+
+# --- the batched lasso search against a frame-by-frame reference --------------
+
+
+def _frame_by_frame_search(target, max_worlds, max_reach):
+    """The search of bounded_nt_refutation, one scan per frame of iter_lasso_frames: (verdict, code)."""
+    if isinstance(target, Rule):
+        letters, mask, failing = target.letters, rule_refutation_mask(target), target.conclusion
+    else:
+        letters, mask, failing = letters_of(target), (lambda ev: ~ev.everywhere(target)), target
+    for frame in iter_lasso_frames(max_worlds, max_reach):
+        code = scan_valuations(frame, letters, mask)
+        if code is not None:
+            model = Model(frame, decode_valuation(code, letters, frame.worlds))
+            world = next(a for a in range(frame.worlds) if not eval_nt(model, a, failing))
+            return Verdict(VerdictKind.NON_THEOREM, Countermodel(model, world, target)), code
+    return Verdict(VerdictKind.INCONCLUSIVE, caps=SearchCaps(max_worlds=max_worlds, max_reach=max_reach)), None
+
+
+def _assert_same_search(target, max_worlds, max_reach):
+    """The batched search finds the reference's frame, world and code; returns (frame, its index in its run, code)."""
+    batched = bounded_nt_refutation(target, max_worlds, max_reach)
+    reference, code = _frame_by_frame_search(target, max_worlds, max_reach)
+    assert verdict_to_json(batched) == verdict_to_json(reference)
+    assert batched == reference  # same frame, world and valuation, i.e. the same code
+    if code is None:
+        return None
+    frame = batched.certificate.model.frame
+    run = next(r for r in iter_lasso_runs(max_worlds, max_reach) if (r.worlds, r.loop) == (frame.worlds, frame.loop))
+    return frame, run.frames.index(frame), code
+
+
+@pytest.mark.parametrize("caps, count", [((6, 4), 20), ((5, 5), 16), ((3, 2), 40)])
+def test_batched_search_matches_frame_by_frame_scans(caps, count):
+    rng = random.Random(61 + caps[0])
+    outcomes = set()
+    for _ in range(count):
+        letters = rng.randint(1, 2)
+        if rng.random() < 0.3:
+            target = random_rule(rng, letters=letters, depth=2)
+        else:
+            target = random_formula(rng, letters=letters, depth=rng.randint(1, 4))
+        outcomes.add(_assert_same_search(target, *caps) is None)
+    assert outcomes == {True, False}  # both refutations and exhausted searches
+
+
+# A hit needs a 6-cycle with p at one world only (so loop 0), and F p two,
+# three and four steps on needs reach (1, 1, 1, 4, 4, 4): frame 19 of its run.
+_SIX_CYCLE = (
+    "p & X !p & X X !p & X X X !p & X X X X !p & X X X X X !p & X X X X X X p"
+    " & X X F p & X X X F p & X X X X F p"
+)
+# Six worlds in a row with distinct 3-letter states 4, 0, 5, 1, 6, 7: r holds
+# at four of them, one always at world 4 or 5, so the code is >= 2**16.
+_STATES = " & ".join(
+    "X " * i + "(" + " & ".join(("" if (state >> b) & 1 else "!") + name for b, name in enumerate("pqr")) + ")"
+    for i, state in enumerate((4, 0, 5, 1, 6, 7))
+)
+
+
+@pytest.mark.parametrize(
+    "text, worlds, index, min_code",
+    [
+        ("p", 1, 0, 0),  # a 1-world frame: 2 valuations in a padded word
+        ("F p -> p | X p", 3, 1, 0),  # the second frame of a batch of 3-bit frames
+        (f"!({_SIX_CYCLE})", 6, 19, 0),  # a later frame of a one-word-per-frame batch
+        (f"!({_SIX_CYCLE} & (q | !q))", 6, 19, 0),  # 16 frames a batch: the run's second batch
+        (f"!({_STATES})", 6, 0, 1 << 16),  # a 2**18-valuation frame: a later chunk of it
+    ],
+    ids=["one-world", "later-frame-partial-words", "later-frame", "later-batch", "later-chunk"],
+)
+def test_batched_search_finds_hits_in_later_frames_batches_and_chunks(text, worlds, index, min_code):
+    frame, found_index, code = _assert_same_search(parse_formula(text), 6, 4)
+    assert (frame.worlds, found_index) == (worlds, index) and code >= min_code
+
+
+@pytest.mark.parametrize(
+    "text, caps, refuted",
+    [("X x / x", (6, 4), True), ("x / X x", (6, 4), False), ("X X x / x", (3, 2), True), ("x U y / x", (3, 2), True)],
+)
+def test_batched_search_on_reduced_form_rules(text, caps, refuted):
+    rule = to_reduced_normal_form(parse_rule(text)).to_rule()
+    assert match_reduced_form(rule) is not None  # the sign-table path
+    assert (_assert_same_search(rule, *caps) is not None) == refuted
 
 
 # --- size bound ----------------------------------------------------------------

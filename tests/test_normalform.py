@@ -20,9 +20,10 @@ from itl import (
     rule_valid_in_frame,
     to_reduced_normal_form,
 )
+from itl.decide import iter_lasso_runs
 from itl.normalform import atom_count
 from itl.semantics import rule_refutation_mask
-from itl.tables import scan_valuations
+from itl.tables import BatchEvaluator, scan_valuations
 
 from helpers import random_formula
 
@@ -194,6 +195,24 @@ def test_reduced_path_agrees_with_generic_tables():
             slow = scan_valuations(frame, rendered.letters, generic_mask)
             fast = scan_valuations(frame, rendered.letters, fast_mask)
             assert slow == fast
+
+
+def test_reduced_path_reads_the_padded_frame_major_layout():
+    # whole runs at once, where frames of under 64 valuations fill a word
+    # each; sign-table premises do not depend on reach, so a block read as
+    # if unpadded shows mostly as a hit vector of the wrong length
+    hits = 0
+    for text in ("x / x", "X x / x", "x U y / x", "p U q / q"):
+        rendered = to_reduced_normal_form(parse_rule(text)).to_rule()
+        fast_mask = rule_refutation_mask(rendered)
+        for run in iter_lasso_runs(4, 3):
+            n_bits = len(rendered.letters) * run.worlds
+            ev = BatchEvaluator(run, rendered.letters, range(len(run) << n_bits))
+            valid = np.uint64((1 << (1 << n_bits)) - 1) if n_bits < 6 else ~np.uint64(0)
+            generic = ev.everywhere(rendered.premises[0]) & ~ev.everywhere(rendered.conclusion)
+            assert np.array_equal(fast_mask(ev) & valid, generic & valid), (text, run.worlds, run.loop)
+            hits += int(np.count_nonzero(generic & valid))
+    assert hits
 
 
 # --- validity equivalence (sample; the acceptance suite runs the corpus) ----

@@ -216,6 +216,22 @@ def test_expand_box_on_true():
     assert expand_derived(Box(), [TRUE], m=1) == Not(Until(TRUE, Not(TRUE)))
 
 
+def test_expansions_past_the_height_limit_are_refused():
+    deep = parse_formula("X " * (MAX_NESTING - 1) + "p")  # MAX_NESTING nodes high
+    highest = p
+    for _ in range(2 * MAX_NESTING - 1):
+        highest = Next(highest)
+    assert expand_derived(NextIter(MAX_NESTING), [deep]) == highest
+    for op, args in [
+        (NextIter(MAX_NESTING + 1), [deep]),  # one level too many
+        (DiamondIter(10**9), [p]),  # refused before the tree is built
+        (KPast(MAX_NESTING), [deep]),
+        (K2Past(2 * MAX_NESTING + 1, 1), [p]),
+    ]:
+        with pytest.raises(ValueError, match="higher than"):
+            expand_derived(op, args, m=2)
+
+
 def test_expand_diamond_and_iterates():
     assert expand_derived(Diamond(), [p]) == Until(TRUE, p)
     assert expand_derived(BoxIter(2), [p]) == Not(Until(TRUE, Not(Not(Until(TRUE, Not(p))))))

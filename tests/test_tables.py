@@ -1,4 +1,5 @@
-"""Packed batch engine: chunked scans agree with scalar brute force at every chunk size."""
+"""Packed batch engine: chunked scans agree with scalar brute force at every chunk size,
+and a run of same-shape lasso frames evaluates like its frames one by one."""
 
 import random
 
@@ -7,14 +8,18 @@ import pytest
 
 from itl import (
     FiniteLassoFrame,
+    FrameError,
     Model,
     UniformWindowFrame,
     eval_nt,
     parse_formula,
     reach,
 )
+from itl.decide import iter_lasso_frames, iter_lasso_runs
+from itl.frames import LassoRun
+from itl.limits import DEFAULT_CHUNK_BITS
 from itl.syntax import letters_of
-from itl.tables import BatchEvaluator, decode_valuation, scan_valuations
+from itl.tables import BatchEvaluator, decode_valuation, scan_valuations, unpack
 
 from helpers import random_formula, random_lasso_frame
 
@@ -85,3 +90,85 @@ def test_bits_past_a_short_block_are_ignored():
     frame = UniformWindowFrame(3, 2)
     past_end = lambda ev: np.full(ev.words, np.uint64(0xFFFF_FFFF_FFFF_FF00))  # noqa: E731
     assert scan_valuations(frame, ("p",), past_end) is None
+
+
+# --- runs of same-shape lasso frames ------------------------------------------
+
+
+def _random_run(rng):
+    worlds = rng.randint(1, 4)
+    cap = min(3, worlds)
+    reaches = [sorted(rng.randint(1, cap) for _ in range(worlds)) for _ in range(rng.randint(1, 6))]
+    return LassoRun(worlds, rng.randint(0, worlds - 1), reaches)
+
+
+def test_run_tables_equal_the_tables_of_each_frame():
+    rng = random.Random(71)
+    for _ in range(60):
+        run = _random_run(rng)
+        f = random_formula(rng, letters=rng.randint(1, 2), depth=3)
+        letters = letters_of(f)
+        n_bits = len(letters) * run.worlds
+        per_frame = 1 << n_bits
+        batch = BatchEvaluator(run, letters, range(len(run) * per_frame)).table(f)
+        words = -(-per_frame // 64)  # a frame of fewer than 64 valuations is padded to a word
+        for i, frame in enumerate(run.frames):
+            alone = BatchEvaluator(frame, letters, range(per_frame)).table(f)
+            got = unpack(batch[:, i * words : (i + 1) * words], per_frame)
+            assert (got == unpack(alone, per_frame)).all(), (run, i, f)
+
+
+@pytest.mark.parametrize("letters", [("p",), ("p", "q"), ("p", "q", "r")])
+def test_scan_blocks_tile_every_run_in_frame_order(letters):
+    frames = []
+    for run in iter_lasso_runs(6, 4):
+        n_bits = len(letters) * run.worlds
+        blocks = []
+
+        def record(ev):
+            assert ev.words <= 1 << (DEFAULT_CHUNK_BITS - 6)
+            blocks.append(ev.indices)
+            return np.zeros(ev.words, dtype=np.uint64)
+
+        assert scan_valuations(run, letters, record) is None
+        assert blocks[0].start == 0 and blocks[-1].stop == len(run) << n_bits
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        covered = []
+        for block in blocks:
+            owners = range(block.start >> n_bits, ((block.stop - 1) >> n_bits) + 1)
+            if len(owners) > 1:  # a block spanning frames holds whole frames
+                assert block.start % (1 << n_bits) == 0 and block.stop % (1 << n_bits) == 0
+            covered.extend(i for i in owners if not covered or i > covered[-1])
+        assert covered == list(range(len(run)))
+        frames.extend(run.frames)
+    assert frames == list(iter_lasso_frames(6, 4))
+
+
+def test_run_scan_returns_frame_major_codes():
+    # the formula fails only at a world that sees two steps or more, so of
+    # these frames, which differ in the last world's reach, frame 0 holds it
+    run = LassoRun(3, 0, [(1, 1, 1), (1, 1, 2), (1, 1, 3)])
+    f = parse_formula("F p -> p | X p")
+    mask = lambda ev: ~ev.everywhere(f)  # noqa: E731
+    found = scan_valuations(run, ("p",), mask)
+    assert found >> 3 == 1  # the first frame with reach 2 at the last world
+    assert scan_valuations(run.frame(1), ("p",), mask) == found & 7
+    assert scan_valuations(run.frame(0), ("p",), mask) is None
+
+
+def test_malformed_runs_and_blocks_are_rejected():
+    with pytest.raises(FrameError):
+        LassoRun(2, 0, [(2, 1)])  # reach shrinks
+    with pytest.raises(FrameError):
+        LassoRun(2, 0, [(1, 3)])  # reach past the frame size
+    with pytest.raises(FrameError):
+        LassoRun(2, 2, [(1, 1)])  # loop target out of range
+    with pytest.raises(FrameError):
+        LassoRun(2, 0, [(1, 1, 1)])
+    run = LassoRun(4, 1, [(1, 1, 1, 1), (1, 1, 2, 2)])  # 2 letters: 256 valuations a frame
+    BatchEvaluator(run, ("p", "q"), range(0, 512))
+    BatchEvaluator(run, ("p", "q"), range(192, 256))  # a chunk inside one frame
+    with pytest.raises(ValueError):
+        BatchEvaluator(run, ("p", "q"), range(192, 320))  # spans frames, but not whole ones
+    with pytest.raises(ValueError):
+        BatchEvaluator(run, ("p", "q"), range(256, 768))  # past the last frame
