@@ -8,6 +8,11 @@ verdicts.  No hit only means "no refutation found at this depth": the
 routine never claims admissibility from a bounded search, only the fast
 screens do (theorem conclusion, or an unsatisfiable premise, both of which
 make every instance harmless).
+
+Equivalence in the uniform logic is a congruence, so pool formulas with the
+same truth table are interchangeable in every substitution instance.  The
+search therefore tries tuples of class first members (in pool order) and
+finds the tuple the search over the whole pool would find first.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .decide import Verdict, VerdictKind, decide_uniform_theorem, verdict_to_dict
+from .frames import UniformWindowFrame
+from .limits import DEFAULT_MAX_ATOMS
 from .syntax import (
     FALSE,
     TRUE,
@@ -31,6 +38,7 @@ from .syntax import (
     children,
     print_formula,
 )
+from .tables import BatchEvaluator
 
 Substitution = Mapping[str, Formula]
 
@@ -54,26 +62,70 @@ def substitution_pool(depth: int, letter: str = "p") -> list[Formula]:
     """All formulas over {true, false, letter} closed under !, X, U, & up to ``depth``.
 
     Deduplicated structurally; deterministic order (generation order by
-    level).
+    level).  Every child of a member is an earlier member.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     pool: list[Formula] = [TRUE, FALSE, Letter(letter)]
-    seen = set(pool)
+    # Members are structurally distinct and built from members, so two
+    # candidates are equal exactly when their constructors and child
+    # identities are: no recursive hashing of the trees.
+    seen: set[tuple] = set()
+
+    def add(build: type, *kids: Formula) -> None:
+        key = (build, *map(id, kids))
+        if key not in seen:
+            seen.add(key)
+            pool.append(build(*kids))
+
     for _ in range(depth):
         snapshot = list(pool)
         for f in snapshot:
-            for g in (Not(f), Next(f)):
-                if g not in seen:
-                    seen.add(g)
-                    pool.append(g)
+            add(Not, f)
+            add(Next, f)
         for f in snapshot:
             for h in snapshot:
-                for g in (Until(f, h), And(f, h)):
-                    if g not in seen:
-                        seen.add(g)
-                        pool.append(g)
+                add(Until, f, h)
+                add(And, f, h)
     return pool
+
+
+def pool_class_firsts(pool: Sequence[Formula], m: int) -> Optional[list[int]]:
+    """Index of the first member of each member's equivalence class, or None.
+
+    ``pool`` is a :func:`substitution_pool`.  Two members are equivalent at
+    memory ``m`` exactly when their world-0 rows agree on every valuation of
+    a window as wide as the larger reach, so members are keyed on their
+    world-0 rows on the window of the pool's largest reach ``R``.
+    Equivalence is a congruence: a member whose constructor and child
+    classes match an earlier member's shares its class without being
+    evaluated.  None when the window's valuation bits (``R + 1`` per letter)
+    exceed ``DEFAULT_MAX_ATOMS``.
+    """
+    kids = [children(f) for f in pool]
+    reaches: dict[int, int] = {}  # a member's children come before it
+    for f, fk in zip(pool, kids):
+        r = max([reaches[id(c)] for c in fk], default=0)
+        reaches[id(f)] = r + (1 if isinstance(f, Next) else m if isinstance(f, Until) else 0)
+    width = max(reaches.values()) + 1
+    letters = [f.name for f in pool if isinstance(f, Letter)]
+    bits = len(letters) * width
+    if bits > DEFAULT_MAX_ATOMS:
+        return None
+    ev = BatchEvaluator(UniformWindowFrame(width, m), letters, range(1 << bits))
+    valid = (1 << (1 << bits)) - 1 if bits < 6 else None  # the unpadded bits of the one word
+    first_of_row: dict = {}
+    first_of_shape: dict = {}
+    class_of: dict[int, int] = {}
+    for i, (f, fk) in enumerate(zip(pool, kids)):
+        shape = (type(f), *[class_of[id(c)] for c in fk]) if fk else f  # a leaf is its own shape
+        first = first_of_shape.get(shape)
+        if first is None:
+            row = ev.table(f)[0]
+            key = int(row[0]) & valid if valid is not None else row.tobytes()
+            first = first_of_shape[shape] = first_of_row.setdefault(key, i)
+        class_of[id(f)] = first
+    return [class_of[id(f)] for f in pool]
 
 
 class AdmissibilityStatus(Enum):
@@ -107,7 +159,9 @@ def search_refuting_substitution(
 
     Premise theoremhood is checked at the given memory length ``m``; an
     Inconclusive premise verdict conservatively disqualifies the tuple, so
-    only fully certified refutations are ever reported.
+    only fully certified refutations are ever reported.  Tuples run over the
+    class first members of :func:`pool_class_firsts`, which gives the
+    report of a search over the whole pool; the tuple cap counts pool tuples.
     """
     pool = substitution_pool(depth)
     letters = rule.letters
@@ -120,7 +174,28 @@ def search_refuting_substitution(
             cap_note=f"{total} substitution tuples exceed the cap of {cap}",
         )
     kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
-    for combo in product(pool, repeat=len(letters)):
+    firsts = pool_class_firsts(pool, m)
+    if firsts is not None:
+        # Replacing each component of the whole pool's first refuting tuple
+        # by its class's first member gives a tuple no later in product
+        # order whose instances are equivalent, so with every verdict
+        # decided the class search stops at that same tuple.  An
+        # inconclusive verdict voids the argument: search the whole pool.
+        reps = [pool[i] for i in sorted(set(firsts))]
+        report, undecided = _first_refutation(rule, m, depth, reps, kwargs)
+        if not undecided:
+            return report
+    report, _ = _first_refutation(rule, m, depth, pool, kwargs)
+    return report
+
+
+def _first_refutation(
+    rule: Rule, m: int, depth: int, candidates: Sequence[Formula], kwargs: dict
+) -> tuple[AdmissibilityReport, bool]:
+    """Report on the first refuting tuple of ``candidates``, and whether any verdict was inconclusive."""
+    letters = rule.letters
+    undecided = False
+    for combo in product(candidates, repeat=len(letters)):
         sub = dict(zip(letters, combo))
         premise_verdicts = []
         all_theorems = True
@@ -128,11 +203,13 @@ def search_refuting_substitution(
             v = decide_uniform_theorem(apply_substitution(p, sub), m, **kwargs)
             premise_verdicts.append(v)
             if v.kind is not VerdictKind.THEOREM:
+                undecided |= v.kind is VerdictKind.INCONCLUSIVE
                 all_theorems = False
                 break
         if not all_theorems:
             continue
         cv = decide_uniform_theorem(apply_substitution(rule.conclusion, sub), m, **kwargs)
+        undecided |= cv.kind is VerdictKind.INCONCLUSIVE
         if cv.kind is VerdictKind.NON_THEOREM:
             return AdmissibilityReport(
                 AdmissibilityStatus.REFUTED,
@@ -140,8 +217,8 @@ def search_refuting_substitution(
                 premise_verdicts=tuple(premise_verdicts),
                 conclusion_verdict=cv,
                 depth=depth,
-            )
-    return AdmissibilityReport(AdmissibilityStatus.NO_REFUTATION, depth=depth)
+            ), undecided
+    return AdmissibilityReport(AdmissibilityStatus.NO_REFUTATION, depth=depth), undecided
 
 
 def admissibility_consequences_check(

@@ -1,13 +1,23 @@
 """Substitution machinery, refutation search and the admissibility screens."""
 
+import json
 import random
+from itertools import product
 
 import pytest
 
 from itl import (
+    FALSE,
+    TRUE,
+    AdmissibilityReport,
     AdmissibilityStatus,
+    And,
     FiniteLassoFrame,
+    Implies,
     Letter,
+    Next,
+    Not,
+    Rule,
     Until,
     VerdictKind,
     admissibility_consequences_check,
@@ -23,6 +33,9 @@ from itl import (
     subformulas,
     substitution_pool,
 )
+from itl import admissibility
+from itl.admissibility import DEFAULT_MAX_TUPLES, pool_class_firsts, report_to_dict
+from itl.limits import DEFAULT_MAX_ATOMS
 
 from helpers import random_formula
 
@@ -78,6 +91,53 @@ def test_pool_growth_and_dedup():
     pool2 = substitution_pool(2)
     assert len(pool2) == 1515
     assert len(set(pool2)) == len(pool2)
+
+
+def _structural_pool(depth, letter):
+    """The pool deduplicated by structural equality, as it was first written."""
+    pool = [TRUE, FALSE, Letter(letter)]
+    seen = set(pool)
+    for _ in range(depth):
+        snapshot = list(pool)
+        candidates = [g for f in snapshot for g in (Not(f), Next(f))]
+        candidates += [g for f in snapshot for h in snapshot for g in (Until(f, h), And(f, h))]
+        for g in candidates:
+            if g not in seen:
+                seen.add(g)
+                pool.append(g)
+    return pool
+
+
+@pytest.mark.parametrize("letter", ["p", "q"])
+def test_pool_equals_the_structural_dedup_in_order(letter):
+    for depth in (0, 1, 2):
+        assert substitution_pool(depth, letter) == _structural_pool(depth, letter)
+
+
+def _equivalent(f, g, m):
+    return decide_uniform_theorem(And(Implies(f, g), Implies(g, f)), m).kind is VerdictKind.THEOREM
+
+
+@pytest.mark.parametrize("depth, m, classes", [(1, 1, 6), (1, 3, 6), (2, 1, 16), (2, 2, 19)])
+def test_pool_classes_are_the_equivalence_classes(depth, m, classes):
+    pool = substitution_pool(depth)
+    firsts = pool_class_firsts(pool, m)
+    reps = sorted(set(firsts))
+    assert len(reps) == classes
+    for i, first in enumerate(firsts):
+        assert first <= i and firsts[first] == first
+        assert _equivalent(pool[i], pool[first], m)
+    for a, b in product(reps, repeat=2):
+        assert a == b or not _equivalent(pool[a], pool[b], m)
+
+
+def test_pool_too_wide_to_classify_is_searched_whole():
+    pool = substitution_pool(1)
+    m = DEFAULT_MAX_ATOMS  # p U p reaches m, so its window needs m + 1 valuation bits
+    assert pool_class_firsts(pool, m) is None
+    rule = parse_rule("x / x U X x")
+    got = search_refuting_substitution(rule, m, 1)
+    assert report_to_dict(got) == report_to_dict(_full_search(rule, m, 1))
 
 
 # --- refutation search --------------------------------------------------------
@@ -198,3 +258,90 @@ def test_frame_valid_rules_are_never_refuted():
         checked += 1
         report = search_refuting_substitution(rule, 1, 1)
         assert report.status is AdmissibilityStatus.NO_REFUTATION
+
+
+# --- the class search against the whole pool ------------------------------------
+
+
+def _full_search(rule, m, depth, *, max_tuples=None, max_atoms=None, max_worlds=None):
+    """Every tuple of the whole pool in product order: the search the class search replaces."""
+    pool = substitution_pool(depth)
+    letters = rule.letters
+    cap = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
+    total = len(pool) ** len(letters)
+    if total > cap:
+        return AdmissibilityReport(
+            AdmissibilityStatus.NO_REFUTATION,
+            depth=depth,
+            cap_note=f"{total} substitution tuples exceed the cap of {cap}",
+        )
+    caps = {"max_atoms": max_atoms, "max_worlds": max_worlds}
+    for combo in product(pool, repeat=len(letters)):
+        sub = dict(zip(letters, combo))
+        verdicts = []
+        for p in rule.premises:
+            verdicts.append(decide_uniform_theorem(apply_substitution(p, sub), m, **caps))
+            if verdicts[-1].kind is not VerdictKind.THEOREM:
+                break
+        else:
+            cv = decide_uniform_theorem(apply_substitution(rule.conclusion, sub), m, **caps)
+            if cv.kind is VerdictKind.NON_THEOREM:
+                return AdmissibilityReport(
+                    AdmissibilityStatus.REFUTED, sub, tuple(verdicts), cv, depth=depth
+                )
+    return AdmissibilityReport(AdmissibilityStatus.NO_REFUTATION, depth=depth)
+
+
+def _random_rule(rng, letters):
+    names = {"p": Letter("x"), "q": Letter("y")}
+    rule = Rule(
+        tuple(random_formula(rng, letters, 2) for _ in range(rng.randint(1, 2))),
+        random_formula(rng, letters, 2),
+    )
+    return Rule(
+        tuple(apply_substitution(f, names) for f in rule.premises),
+        apply_substitution(rule.conclusion, names),
+    )
+
+
+# Rules whose first refuting tuple is not made of constants: x = p or !p at
+# depth 1, x = !p & X p (pool member 452) at depth 2.
+_REFUTED_BY_LETTER_FORMULAS = [
+    (1, 1, "x | !x / x | X !x"),
+    (1, 2, "y | x / X x | (y | y)"),
+    (2, 1, "(x -> x) U !x / x -> X x"),
+    (2, 2, "x U (x -> false) / X !x"),
+]
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["default-caps", "tight-caps"])
+def test_class_search_reports_what_the_whole_pool_search_reports(monkeypatch, tight):
+    searches = []
+    real = admissibility._first_refutation
+
+    def spy(rule, m, depth, candidates, kwargs):
+        searches.append(len(candidates))
+        return real(rule, m, depth, candidates, kwargs)
+
+    monkeypatch.setattr(admissibility, "_first_refutation", spy)
+    rng = random.Random(131 if tight else 137)
+    # (depth, letters) mixes: a 1-letter rule at depth 2 walks all 1515 pool tuples in the reference
+    mixes = [(0, 1), (0, 2)] * 4 + [(1, 1), (1, 2)] * 5 + [(2, 1)] * 3 + [(2, 2)]
+    corpus = [(depth, rng.randint(1, 3), _random_rule(rng, letters)) for depth, letters in mixes]
+    if not tight:
+        corpus += [(depth, m, parse_rule(text)) for depth, m, text in _REFUTED_BY_LETTER_FORMULAS]
+    statuses = set()
+    fallbacks = 0
+    for depth, m, rule in corpus:
+        caps = {"max_worlds": rng.randint(2, 4), "max_atoms": rng.randint(3, 8)} if tight else {}
+        del searches[:]
+        got = search_refuting_substitution(rule, m, depth, **caps)
+        want = _full_search(rule, m, depth, **caps)
+        assert json.dumps(report_to_dict(got), sort_keys=True) == json.dumps(report_to_dict(want), sort_keys=True)
+        assert got.premise_verdicts == want.premise_verdicts
+        statuses.add((got.status, got.cap_note is not None))
+        fallbacks += len(searches) == 2
+    assert (AdmissibilityStatus.REFUTED, False) in statuses
+    assert (AdmissibilityStatus.NO_REFUTATION, False) in statuses
+    if tight:
+        assert fallbacks >= 1  # an inconclusive verdict sent a search back to the whole pool

@@ -171,11 +171,36 @@ def test_expand_past_the_height_limit_is_an_error(capsys, op, k):
     assert err.startswith("error:") and err.count("\n") == 1 and "higher than" in err
 
 
-def test_expand_at_the_height_limit_runs(capsys):
-    code, out, err = run(capsys, "expand", "--op", "next-iter", "--k", "199", "--formula", "p")
-    assert code == 0 and err == "" and out == "X " * 199 + "p\n"  # a tree 2 * MAX_NESTING nodes high
-    code, out, err = run(capsys, "expand", "--op", "box-iter", "--k", "66", "--formula", "p")
-    assert code == 0 and err == "" and out.count("true U") == 66
+def test_expand_at_the_nesting_limit_runs(capsys):
+    code, out, err = run(capsys, "expand", "--op", "next-iter", "--k", "100", "--formula", "p")
+    assert code == 0 and err == "" and out == "X " * 100 + "p\n"  # MAX_NESTING prefix levels
+    code, out, err = run(capsys, "expand", "--op", "box-iter", "--k", "33", "--formula", "p")
+    assert code == 0 and err == "" and out.count("true U") == 33  # three levels each: !(true U !...)
+
+
+@pytest.mark.parametrize(
+    "op, k, formula",
+    [
+        ("next-iter", 100, "p"),
+        ("next-iter", 101, "p"),
+        ("next-iter", 199, "p"),
+        ("box-iter", 33, "p"),
+        ("box-iter", 34, "p"),
+        ("box-iter", 66, "p"),
+        ("diamond-iter", 100, "p"),
+        ("diamond-iter", 101, "p"),
+        ("next-iter", 1, " & ".join(["p"] * 199)),  # two levels: X (...), and 200 nodes high
+        ("next-iter", 2, " & ".join(["p"] * 199)),
+    ],
+)
+def test_expanded_text_parses_again(capsys, op, k, formula):
+    code, out, err = run(capsys, "expand", "--op", op, "--k", str(k), "--formula", formula)
+    if code == 0:
+        assert err == ""
+        assert run(capsys, "parse", out.strip())[0] == 0
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_reused_parser_gives_the_bytes_of_a_fresh_one(capsys):

@@ -217,19 +217,30 @@ def test_expand_box_on_true():
 
 
 def test_expansions_past_the_height_limit_are_refused():
-    deep = parse_formula("X " * (MAX_NESTING - 1) + "p")  # MAX_NESTING nodes high
-    highest = p
-    for _ in range(2 * MAX_NESTING - 1):
-        highest = Next(highest)
-    assert expand_derived(NextIter(MAX_NESTING), [deep]) == highest
+    deep = parse_formula(" & ".join(["p"] * (MAX_NESTING + 1)))  # MAX_NESTING + 1 nodes high, nesting 0
+    highest = deep
+    for _ in range(MAX_NESTING - 1):
+        highest = Next(highest)  # prints as X X ... (p & ...): MAX_NESTING levels deep
+    assert expand_derived(NextIter(MAX_NESTING - 1), [deep]) == highest
     for op, args in [
-        (NextIter(MAX_NESTING + 1), [deep]),  # one level too many
+        (NextIter(MAX_NESTING), [deep]),  # one level too many
         (DiamondIter(10**9), [p]),  # refused before the tree is built
         (KPast(MAX_NESTING), [deep]),
         (K2Past(2 * MAX_NESTING + 1, 1), [p]),
     ]:
         with pytest.raises(ValueError, match="higher than"):
             expand_derived(op, args, m=2)
+
+
+def test_expansions_the_parser_would_reject_are_refused():
+    # the same bound as the parser's: its spelled-out form parses, one more iteration does not
+    for op, spelled, inside in [(NextIter, "X ", MAX_NESTING), (BoxIter, "G ", MAX_NESTING // 3)]:
+        f = expand_derived(op(inside), [p])
+        assert parse_formula(print_formula(f)) == f == parse_formula(spelled * inside + "p")
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_formula(spelled * (inside + 1) + "p")
+        with pytest.raises(ValueError, match=f"nested deeper than {MAX_NESTING} levels"):
+            expand_derived(op(inside + 1), [p])
 
 
 def test_expand_diamond_and_iterates():
