@@ -16,6 +16,7 @@ from .admissibility import (
     admissibility_consequences_check,
     apply_substitution,
     decide_admissible,
+    pool_size,
     search_refuting_substitution,
     substitution_pool,
 )
@@ -100,6 +101,7 @@ from .syntax import (
     print_formula,
     print_rule,
     reach,
+    read_set,
     subformulas,
 )
 

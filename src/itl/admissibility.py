@@ -58,6 +58,11 @@ def apply_substitution(f: Formula, s: Substitution) -> Formula:
     return type(f)(*[apply_substitution(c, s) for c in kids]) if kids else f
 
 
+# The constructors that grow the substitution pool by one level.
+_UNARY = (Not, Next)
+_BINARY = (Until, And)
+
+
 def substitution_pool(depth: int, letter: str = "p") -> list[Formula]:
     """All formulas over {true, false, letter} closed under !, X, U, & up to ``depth``.
 
@@ -81,13 +86,29 @@ def substitution_pool(depth: int, letter: str = "p") -> list[Formula]:
     for _ in range(depth):
         snapshot = list(pool)
         for f in snapshot:
-            add(Not, f)
-            add(Next, f)
+            for build in _UNARY:
+                add(build, f)
         for f in snapshot:
             for h in snapshot:
-                add(Until, f, h)
-                add(And, f, h)
+                for build in _BINARY:
+                    add(build, f, h)
     return pool
+
+
+def pool_size(depth: int) -> int:
+    """Length of ``substitution_pool(depth)``, computed without building it.
+
+    A pool one level deeper holds the three leaves, each unary constructor
+    over each member and each binary constructor over each pair, all
+    distinct: ``s(0) = 3`` and ``s(k+1) = 3 + 2 s(k) + 2 s(k)**2`` for the
+    two of each kind.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    size = 3
+    for _ in range(depth):
+        size = 3 + len(_UNARY) * size + len(_BINARY) * size * size
+    return size
 
 
 def pool_class_firsts(pool: Sequence[Formula], m: int) -> Optional[list[int]]:
@@ -163,10 +184,9 @@ def search_refuting_substitution(
     class first members of :func:`pool_class_firsts`, which gives the
     report of a search over the whole pool; the tuple cap counts pool tuples.
     """
-    pool = substitution_pool(depth)
     letters = rule.letters
     cap = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
-    total = len(pool) ** len(letters)
+    total = pool_size(depth) ** len(letters)  # checked before a pool that may never finish is built
     if total > cap:
         return AdmissibilityReport(
             AdmissibilityStatus.NO_REFUTATION,
@@ -174,6 +194,10 @@ def search_refuting_substitution(
             cap_note=f"{total} substitution tuples exceed the cap of {cap}",
         )
     kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
+    if not letters:  # the one empty tuple needs no pool
+        report, _ = _first_refutation(rule, m, depth, (), kwargs)
+        return report
+    pool = substitution_pool(depth)
     firsts = pool_class_firsts(pool, m)
     if firsts is not None:
         # Replacing each component of the whole pool's first refuting tuple

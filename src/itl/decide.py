@@ -3,8 +3,11 @@
 Theoremhood for the uniform-memory logic is decided completely: truth of a
 formula at any world of the infinite uniform line depends only on the
 valuation pattern on its window, every pattern occurs at world 0 of some
-window model, so it suffices to enumerate all valuations of a window frame
-sized to the formula's horizon and test world 0.  For the non-uniform logic
+window model, so it suffices to enumerate the valuations of a window frame
+sized to the formula's horizon and test world 0.  Only the (letter, world)
+bits that world-0 truth reads (:func:`~itl.syntax.read_set`) are enumerated;
+the others stay false, which changes no verdict and no certificate, since
+the least failing valuation has them clear anyway.  For the non-uniform logic
 we run a sound bounded refutation search over finite lasso frames: a found
 countermodel is conclusive, absence of one under the caps is not, and is
 reported as Inconclusive rather than as a theorem.
@@ -27,7 +30,7 @@ import numpy as np
 from .frames import FiniteLassoFrame, LassoRun, Model, UniformWindowFrame, model_from_dict, model_to_dict
 from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from .semantics import eval_nt, formula_valid_in_model, rule_refutation_mask
-from .syntax import Formula, Rule, letters_of, parse_formula, parse_rule, print_formula, print_rule, reach
+from .syntax import Formula, Rule, letters_of, parse_formula, parse_rule, print_formula, print_rule, reach, read_set
 from .tables import decode_valuation, scan_valuations
 
 
@@ -106,16 +109,22 @@ def decide_uniform_satisfiable(
 def _decide_uniform(f: Formula, m: int, want: bool, max_atoms: Optional[int], max_worlds: Optional[int]) -> Verdict:
     """Search for a valuation giving ``f`` the value ``want`` at world 0.
 
-    Builds the window frame of width ``reach(f, m) + 1`` and enumerates all
-    valuations of the formula's letters in binary order; the first hit
-    becomes the certificate.  Verdicts are Inconclusive when the window or
-    the valuation count would exceed the caps.
+    Builds the window frame of width ``reach(f, m) + 1`` and enumerates, in
+    binary order, the valuations of the bits world-0 truth reads
+    (:func:`~itl.syntax.read_set`), every unread bit false.  The scan returns
+    the first hit in the full layout, which is the least hitting code of a
+    sweep over all ``n * width`` bits (clearing unread bits keeps a hit and
+    makes no code larger), so it becomes the same certificate.  The caps
+    still count all ``n * width`` bits: verdicts are Inconclusive when the
+    window or the full valuation count would exceed them.  A sweep of at
+    most 6 bits is one word either way and runs on the plain layout.
     """
     atom_cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
     letters = letters_of(f)
     width = reach(f, m) + 1
-    if width > world_cap or len(letters) * width > atom_cap:
+    n_bits = len(letters) * width
+    if width > world_cap or n_bits > atom_cap:
         return Verdict(VerdictKind.INCONCLUSIVE, caps=SearchCaps(max_worlds=world_cap, max_atoms=atom_cap))
     frame = UniformWindowFrame(width, m)
 
@@ -123,7 +132,10 @@ def _decide_uniform(f: Formula, m: int, want: bool, max_atoms: Optional[int], ma
         row = ev.table(f)[0]
         return row if want else ~row
 
-    found = scan_valuations(frame, letters, hits)
+    # A sweep of at most 6 bits fills one word, which the read set cannot
+    # shrink: there the walk only costs (admissibility's decides, measured).
+    reads = read_set(f, m) if n_bits > 6 else None
+    found = scan_valuations(frame, letters, hits, reads=reads)
     if found is None:
         return Verdict(VerdictKind.UNSATISFIABLE if want else VerdictKind.THEOREM)
     model = Model(frame, decode_valuation(found, letters, width))

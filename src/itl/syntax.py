@@ -164,6 +164,47 @@ def reach(f: Formula, m: int) -> int:
     return go(f)
 
 
+def read_set(f: Formula, m: int) -> dict[str, int]:
+    """Worlds of the window at which truth of ``f`` at world 0 reads each letter.
+
+    Bit ``a`` of ``read_set(f, m)[name]`` is set when the truth of ``f`` at
+    world 0 of a uniform window frame depends on ``name`` at world ``a``;
+    every other valuation bit of the window can change without changing it.
+    The root is read at offset 0, ``X g`` reads ``g`` at +1, ``s U t`` reads
+    ``s`` at +0..m-1 and ``t`` at +0..m (the window :func:`~itl.semantics.eval_nt`
+    walks), and the Boolean connectives pass their offsets through.  Offsets
+    are int bitmasks; a shared subtree is walked again only for offsets it
+    has not been reached at before.
+    """
+    if m < 1:
+        raise ValueError("memory length m must be >= 1")
+    seen: dict[int, int] = {}
+    out: dict[str, int] = {}
+
+    def go(g: Formula, offsets: int) -> None:
+        key = id(g)
+        new = offsets & ~seen.get(key, 0)
+        if not new:
+            return
+        seen[key] = seen.get(key, 0) | new
+        if isinstance(g, Letter):
+            out[g.name] = out.get(g.name, 0) | new
+        elif isinstance(g, Next):
+            go(g.arg, new << 1)
+        elif isinstance(g, Until):
+            left = 0
+            for d in range(m):
+                left |= new << d
+            go(g.left, left)
+            go(g.right, left | new << m)
+        else:
+            for child in children(g):
+                go(child, new)
+
+    go(f, 1)
+    return out
+
+
 @dataclass(frozen=True)
 class Rule:
     """An inference rule: nonempty premises over a shared conclusion."""

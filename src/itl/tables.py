@@ -8,6 +8,17 @@ valuations of a run frame-major: with ``N = n*W`` valuation bits, code ``g``
 is valuation ``g mod 2**N`` of frame ``g >> N``.  A single frame is the
 one-frame case.
 
+A caller that knows its formula reads only some of the ``n*W`` bits passes
+:func:`scan_valuations` the worlds it reads each letter at, as masks like
+those of :func:`~itl.syntax.read_set`.  The scan then enumerates the kept
+bits alone, a strictly increasing list ``kept`` of full-layout bits
+``i*W + a`` handed to every block: with ``N = len(kept)``, code bit ``k``
+stands for full bit ``kept[k]``, and a letter is false at every world whose
+bit is not kept.  The scan deposits each bit ``k`` of its first hit at
+``kept[k]``, which keeps the order of codes, so it returns the first
+full-layout code that hits with every unread bit clear.  Without read masks
+the plain layout runs.
+
 :class:`BatchEvaluator` evaluates a formula on every valuation of a
 contiguous block of codes at once.  Its tables are ``(W, words)`` ``uint64``
 arrays holding 64 valuations per word, frame-major along the word axis with
@@ -37,8 +48,9 @@ results reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,7 +91,9 @@ class BatchEvaluator:
     a contiguous ``range`` of its codes in the frame-major numbering of the
     module docstring.  The block starts on a word boundary: a multiple of 64,
     or of the frame's ``2**N`` valuations when a frame has fewer than 64.
-    ``table(f)[a]`` is the packed truth of ``f`` at world ``a``.
+    ``table(f)[a]`` is the packed truth of ``f`` at world ``a``.  With
+    ``kept`` the codes run over the kept bits only (module docstring); it is
+    looked up by bisection, so a block builds no bit map of its own.
 
     On uniform frames the rows past a formula's window guarantee hold
     unspecified values; callers must only read rows ``a`` with
@@ -87,7 +101,7 @@ class BatchEvaluator:
     a frame sized to fit).
     """
 
-    def __init__(self, frame: Frames, letters: Sequence[str], indices: range):
+    def __init__(self, frame: Frames, letters: Sequence[str], indices: range, kept: Optional[Sequence[int]] = None):
         if not isinstance(indices, range) or indices.step != 1:
             raise TypeError("indices must be a contiguous range of valuation codes")
         self.frame = frame
@@ -95,6 +109,11 @@ class BatchEvaluator:
         self.indices = indices
         self.worlds = frame.worlds
         n_bits = len(self.letters) * self.worlds
+        if kept is not None:
+            if any(b >= c for b, c in zip(kept, kept[1:])) or (kept and not 0 <= kept[0] <= kept[-1] < n_bits):
+                raise ValueError(f"kept must be increasing bits below {n_bits}")
+            n_bits = len(kept)
+        self._kept = kept
         shift = min(n_bits, 6)  # log2 of the codes one word holds
         if indices.start % (1 << shift):
             raise ValueError(f"a block must start at a multiple of {1 << shift}, not {indices.start}")
@@ -150,8 +169,15 @@ class BatchEvaluator:
     def _letter(self, name: str) -> np.ndarray:
         i = self._pos[name]  # missing letter = caller bug: batch letters must cover the formula
         rows = np.empty((self.worlds, self.words), dtype=np.uint64)
+        kept = self._kept
         for a in range(self.worlds):
             k = i * self.worlds + a
+            if kept is not None:  # the code bit standing for full bit k, if it is kept
+                j = bisect_left(kept, k)
+                if j == len(kept) or kept[j] != k:
+                    rows[a] = 0  # an unread bit: the letter is false there
+                    continue
+                k = j
             if k < 6:
                 rows[a] = _LOW_MASKS[k]
             else:
@@ -213,6 +239,7 @@ def scan_valuations(
     fail_mask: FailMask,
     *,
     chunk_bits: int = DEFAULT_CHUNK_BITS,
+    reads: Optional[Mapping[str, int]] = None,
 ) -> Optional[int]:
     """First valuation code flagged by ``fail_mask``, or None.
 
@@ -224,20 +251,38 @@ def scan_valuations(
     over its words.  A block holds whole frames up to ``2**chunk_bits``
     valuations (at least one word, padding counted); a frame larger than
     that is cut into word-aligned chunks.
+
+    With ``reads``, bit ``a`` of ``reads[name]`` says the predicate reads
+    ``name`` at world ``a``: only those bits are enumerated, every other
+    letter bit stays false, and the result is still a code of the plain
+    layout (module docstring).
     """
-    n_bits = len(letters) * frame.worlds
+    full_bits = len(letters) * frame.worlds
+    kept = None if reads is None else _kept_bits(letters, frame.worlds, reads)
+    n_bits = full_bits if kept is None else len(kept)
     shift = min(n_bits, 6)
     total = _frame_count(frame) << n_bits
     step = 1 << (max(chunk_bits, 6) - 6 + shift)
     valid = np.uint64((1 << (1 << n_bits)) - 1) if n_bits < 6 else _ONES  # the unpadded bits of a word
     for start in range(0, total, step):
-        hits = fail_mask(BatchEvaluator(frame, letters, range(start, min(start + step, total)))) & valid
+        hits = fail_mask(BatchEvaluator(frame, letters, range(start, min(start + step, total)), kept)) & valid
         nonzero = np.flatnonzero(hits)
         if nonzero.size:
             j = int(nonzero[0])
             word = int(hits[j])
-            return start + (j << shift) + (word & -word).bit_length() - 1
+            found = start + (j << shift) + (word & -word).bit_length() - 1
+            if kept is None:
+                return found
+            deposited = sum(1 << bit for k, bit in enumerate(kept) if found >> k & 1)
+            return (found >> n_bits << full_bits) | deposited
     return None
+
+
+def _kept_bits(letters: Sequence[str], worlds: int, reads: Mapping[str, int]) -> list[int]:
+    """The full-layout bits ``i*W + a`` of the (letter, world) pairs ``reads`` marks, in order."""
+    if any(mask >> worlds for mask in reads.values()):
+        raise ValueError(f"read masks must mark worlds below {worlds}")
+    return [i * worlds + a for i, name in enumerate(letters) for a in range(worlds) if reads.get(name, 0) >> a & 1]
 
 
 def decode_valuation(code: int, letters: Sequence[str], worlds: int) -> Valuation:

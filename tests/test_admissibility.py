@@ -28,6 +28,7 @@ from itl import (
     letters_of,
     parse_formula,
     parse_rule,
+    pool_size,
     rule_valid_in_frame,
     search_refuting_substitution,
     subformulas,
@@ -91,6 +92,16 @@ def test_pool_growth_and_dedup():
     pool2 = substitution_pool(2)
     assert len(pool2) == 1515
     assert len(set(pool2)) == len(pool2)
+
+
+def test_pool_size_follows_the_built_pools():
+    assert [pool_size(d) for d in range(3)] == [len(substitution_pool(d)) for d in range(3)]
+    assert pool_size(3) == 4593483
+
+
+def test_letterless_rule_needs_no_pool():
+    report = search_refuting_substitution(parse_rule("true / X false"), 1, 9)
+    assert report.status is AdmissibilityStatus.REFUTED and report.substitution == {}
 
 
 def _structural_pool(depth, letter):

@@ -1,6 +1,7 @@
 """CLI surface: output formats, exit codes, determinism, env-var caps."""
 
 import json
+import time
 
 import pytest
 
@@ -144,6 +145,16 @@ def test_admissible_command(capsys):
     assert data["certificates"][0]["verdict"] == "non_theorem"
     code, out, _ = run(capsys, "admissible", "--m", "1", "--rule", "X x / x", "--depth", "1")
     assert json.loads(out)["status"] == "no_refutation"
+
+
+@pytest.mark.parametrize("depth, tuples", [(3, 4593483), (4, 42200181329547)])
+def test_admissible_deep_pool_stops_at_the_cap_without_building_it(capsys, depth, tuples):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "admissible", "--m", "1", "--rule", "p / X p", "--depth", str(depth))
+    assert time.perf_counter() - start < 1.0
+    data = json.loads(out)
+    assert code == 0 and data["status"] == "no_refutation"
+    assert data["cap_note"] == f"{tuples} substitution tuples exceed the cap of 100000"
 
 
 def test_bound_command(capsys):

@@ -1,6 +1,8 @@
 """Decision procedures, certificates and their serialization."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,13 +27,16 @@ from itl import (
     parse_formula,
     parse_rule,
     reach,
+    read_set,
     to_reduced_normal_form,
     verdict_from_dict,
     verdict_to_dict,
 )
 from itl.decide import SearchCaps, iter_lasso_runs, verdict_to_json
+from itl.limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from itl.normalform import match_reduced_form
 from itl.semantics import rule_refutation_mask
+from itl import tables
 from itl.tables import decode_valuation, scan_valuations
 
 from helpers import random_formula, random_rule, random_uniform_model
@@ -371,3 +376,56 @@ def test_next_only_uniform_verdicts_agree_with_classic_validity():
         )
         verdict = decide_uniform_theorem(f, rng.choice((1, 2)))
         assert (verdict.kind is VerdictKind.THEOREM) == classic_valid
+
+
+# --- read-set sweep against the plain full-window sweep ----------------------
+
+UNIFORM_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "uniform-full.json"
+
+
+def _plain_uniform_verdict(f, m, want):
+    """The uniform decision as a sweep over every bit of the window, plain layout."""
+    letters = letters_of(f)
+    width = reach(f, m) + 1
+    if width > DEFAULT_MAX_WORLDS or len(letters) * width > DEFAULT_MAX_ATOMS:
+        caps = SearchCaps(max_worlds=DEFAULT_MAX_WORLDS, max_atoms=DEFAULT_MAX_ATOMS)
+        return Verdict(VerdictKind.INCONCLUSIVE, caps=caps)
+    frame = UniformWindowFrame(width, m)
+    found = scan_valuations(frame, letters, lambda ev: ev.table(f)[0] if want else ~ev.table(f)[0])
+    if found is None:
+        return Verdict(VerdictKind.UNSATISFIABLE if want else VerdictKind.THEOREM)
+    model = Model(frame, decode_valuation(found, letters, width))
+    return Verdict(VerdictKind.SATISFIABLE if want else VerdictKind.NON_THEOREM, Countermodel(model, 0, f))
+
+
+def _differential_corpus():
+    rng = random.Random(2024)
+    cases = [(random_formula(rng, letters=3, depth=rng.randint(1, 6)), rng.randint(1, 3)) for _ in range(1000)]
+    entries = json.loads(UNIFORM_POOL.read_text())["entries"]
+    cases += [(parse_formula(e["formula"]), e["m"]) for e in entries]
+    return cases
+
+
+def test_read_set_sweep_matches_the_plain_sweep_byte_for_byte():
+    reduced = 0
+    for f, m in _differential_corpus():
+        for decide, want in ((decide_uniform_theorem, False), (decide_uniform_satisfiable, True)):
+            assert verdict_to_json(decide(f, m)) == verdict_to_json(_plain_uniform_verdict(f, m, want)), (f, m)
+        bits = len(letters_of(f)) * (reach(f, m) + 1)
+        reduced += 6 < bits <= DEFAULT_MAX_ATOMS and sum(map(int.bit_count, read_set(f, m).values())) < bits
+    assert reduced >= 100  # the corpus exercises the reduced layout
+
+
+def test_full_large_theorem_evaluates_fewer_rows_than_its_window(monkeypatch):
+    f = parse_formula("((((false U r) U !s) & (p & q)) -> (p & q))")
+    assert len(letters_of(f)) * (reach(f, 2) + 1) == 20
+    rows = []
+
+    class Counting(tables.BatchEvaluator):
+        def __init__(self, frame, letters, indices, kept=None):
+            super().__init__(frame, letters, indices, kept)
+            rows.append(len(indices))
+
+    monkeypatch.setattr(tables, "BatchEvaluator", Counting)
+    assert decide_uniform_theorem(f, 2).kind is VerdictKind.THEOREM
+    assert 0 < sum(rows) < 1 << 20

@@ -34,6 +34,7 @@ from itl import (
     parse_rule,
     print_formula,
     reach,
+    read_set,
     subformulas,
 )
 from itl.syntax import MAX_NESTING, FalseBool, Formula, TrueBool, children
@@ -333,3 +334,35 @@ def test_reach_bounded_by_temporal_nesting():
         f = random_formula(rng, letters=3, depth=4)
         for m in (1, 2, 3):
             assert reach(f, m) <= _temporal_depth(f) * max(m, 1)
+
+
+# --- read set -------------------------------------------------------------------
+
+
+def test_read_set_of_a_next_chain_is_its_far_end():
+    assert read_set(parse_formula("X X p"), 1) == {"p": 0b100}
+
+
+def test_read_set_of_until_spans_the_window():
+    assert read_set(parse_formula("p U q"), 2) == {"p": 0b011, "q": 0b111}
+
+
+def test_read_set_walks_a_shared_subtree_at_each_offset():
+    shared = Next(Letter("p"))
+    assert read_set(And(shared, Next(shared)), 1) == {"p": 0b110}
+    # reached again at an offset it already has: nothing new
+    assert read_set(Or(shared, And(shared, Letter("q"))), 1) == {"p": 0b10, "q": 0b1}
+
+
+def test_read_set_of_a_letterless_formula_is_empty():
+    assert read_set(parse_formula("X (true U !false)"), 3) == {}
+
+
+def test_read_set_lies_inside_the_window():
+    rng = random.Random(61)
+    for _ in range(200):
+        f = random_formula(rng, letters=2, depth=4)
+        m = rng.randint(1, 3)
+        read = read_set(f, m)
+        assert set(read) == set(letters_of(f))
+        assert all(0 < mask < 2 << reach(f, m) for mask in read.values())

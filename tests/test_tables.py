@@ -172,3 +172,34 @@ def test_malformed_runs_and_blocks_are_rejected():
         BatchEvaluator(run, ("p", "q"), range(192, 320))  # spans frames, but not whole ones
     with pytest.raises(ValueError):
         BatchEvaluator(run, ("p", "q"), range(256, 768))  # past the last frame
+
+
+def test_read_masks_scan_only_the_read_bits_and_return_plain_codes():
+    f = parse_formula("!p | !(q & X X X q)")
+    frame = UniformWindowFrame(4, 3)
+    mask = lambda ev: ~ev.table(f)[0]  # noqa: E731
+    plain = scan_valuations(frame, ("p", "q"), mask)
+    assert scan_valuations(frame, ("p", "q"), mask, reads={"p": 0b1111, "q": 0b1111}) == plain
+    # f reads p@0, q@0 and q@3: three code bits, deposited at full bits 0, 4 and 7
+    rows = []
+    counting = lambda ev: rows.append(len(ev.indices)) or mask(ev)  # noqa: E731
+    assert scan_valuations(frame, ("p", "q"), counting, reads={"p": 0b1, "q": 0b1001}) == plain == 0b10010001
+    assert rows == [8]
+    with pytest.raises(ValueError):
+        scan_valuations(frame, ("p", "q"), mask, reads={"p": 0b10000})  # world 4 is past the window
+
+
+def test_read_masks_keep_the_frame_major_numbering_of_a_run():
+    run = LassoRun(3, 0, [(1, 1, 1), (1, 1, 2), (1, 1, 3)])
+    f = parse_formula("F p -> p | X p")
+    mask = lambda ev: ~ev.everywhere(f)  # noqa: E731
+    found = scan_valuations(run, ("p",), mask)
+    # q is never read: three code bits a frame, six full bits a frame
+    assert scan_valuations(run, ("p", "q"), mask, reads={"p": 0b111}) == (found >> 3 << 6) | (found & 7)
+
+
+def test_kept_bits_must_increase_inside_the_layout():
+    frame = UniformWindowFrame(4, 3)
+    for bad in ([4, 0], [0, 0], [0, 8]):
+        with pytest.raises(ValueError):
+            BatchEvaluator(frame, ("p", "q"), range(8), bad)
