@@ -12,7 +12,9 @@ make every instance harmless).
 Equivalence in the uniform logic is a congruence, so pool formulas with the
 same truth table are interchangeable in every substitution instance.  The
 search therefore tries tuples of class first members (in pool order) and
-finds the tuple the search over the whole pool would find first.
+finds the tuple the search over the whole pool would find first: a class
+first reaches no further and has no more letters than any member of its
+class, so its instances stay inside every cap its members' instances fit.
 """
 
 from __future__ import annotations
@@ -120,8 +122,14 @@ def pool_class_firsts(pool: Sequence[Formula], m: int) -> Optional[list[int]]:
     world-0 rows on the window of the pool's largest reach ``R``.
     Equivalence is a congruence: a member whose constructor and child
     classes match an earlier member's shares its class without being
-    evaluated.  None when the window's valuation bits (``R + 1`` per letter)
-    exceed ``DEFAULT_MAX_ATOMS``.
+    evaluated.
+
+    None when the window's valuation bits (``R + 1`` per letter) exceed
+    ``DEFAULT_MAX_ATOMS``, and when some member's class first reaches
+    further than the member does: substituting the first could then push an
+    instance over a cap the member's instance fits.  Letters need no check:
+    a letterless member has a constant row, so its class first is ``true``
+    or ``false``, the pool's first two members.
     """
     kids = [children(f) for f in pool]
     reaches: dict[int, int] = {}  # a member's children come before it
@@ -146,7 +154,10 @@ def pool_class_firsts(pool: Sequence[Formula], m: int) -> Optional[list[int]]:
             key = int(row[0]) & valid if valid is not None else row.tobytes()
             first = first_of_shape[shape] = first_of_row.setdefault(key, i)
         class_of[id(f)] = first
-    return [class_of[id(f)] for f in pool]
+    firsts = [class_of[id(f)] for f in pool]
+    if any(reaches[id(pool[first])] > reaches[id(f)] for f, first in zip(pool, firsts)):
+        return None
+    return firsts
 
 
 class AdmissibilityStatus(Enum):
@@ -181,8 +192,9 @@ def search_refuting_substitution(
     Premise theoremhood is checked at the given memory length ``m``; an
     Inconclusive premise verdict conservatively disqualifies the tuple, so
     only fully certified refutations are ever reported.  Tuples run over the
-    class first members of :func:`pool_class_firsts`, which gives the
-    report of a search over the whole pool; the tuple cap counts pool tuples.
+    class first members of :func:`pool_class_firsts`, or over the whole pool
+    when it returns None; either way the report is the whole pool's.  The
+    tuple cap counts pool tuples.
     """
     letters = rule.letters
     cap = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
@@ -193,56 +205,35 @@ def search_refuting_substitution(
             depth=depth,
             cap_note=f"{total} substitution tuples exceed the cap of {cap}",
         )
-    kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
-    if not letters:  # the one empty tuple needs no pool
-        report, _ = _first_refutation(rule, m, depth, (), kwargs)
-        return report
-    pool = substitution_pool(depth)
-    firsts = pool_class_firsts(pool, m)
-    if firsts is not None:
+    candidates: Sequence[Formula] = ()  # a letterless rule has the one empty tuple, and needs no pool
+    if letters:
         # Replacing each component of the whole pool's first refuting tuple
         # by its class's first member gives a tuple no later in product
-        # order whose instances are equivalent, so with every verdict
-        # decided the class search stops at that same tuple.  An
-        # inconclusive verdict voids the argument: search the whole pool.
-        reps = [pool[i] for i in sorted(set(firsts))]
-        report, undecided = _first_refutation(rule, m, depth, reps, kwargs)
-        if not undecided:
-            return report
-    report, _ = _first_refutation(rule, m, depth, pool, kwargs)
-    return report
-
-
-def _first_refutation(
-    rule: Rule, m: int, depth: int, candidates: Sequence[Formula], kwargs: dict
-) -> tuple[AdmissibilityReport, bool]:
-    """Report on the first refuting tuple of ``candidates``, and whether any verdict was inconclusive."""
-    letters = rule.letters
-    undecided = False
+        # order whose instances are equivalent and fit the same caps, so the
+        # class search stops at that same tuple.
+        candidates = pool = substitution_pool(depth)
+        firsts = pool_class_firsts(pool, m)
+        if firsts is not None:
+            candidates = [pool[i] for i in sorted(set(firsts))]
+    kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
     for combo in product(candidates, repeat=len(letters)):
         sub = dict(zip(letters, combo))
         premise_verdicts = []
-        all_theorems = True
         for p in rule.premises:
-            v = decide_uniform_theorem(apply_substitution(p, sub), m, **kwargs)
-            premise_verdicts.append(v)
-            if v.kind is not VerdictKind.THEOREM:
-                undecided |= v.kind is VerdictKind.INCONCLUSIVE
-                all_theorems = False
+            premise_verdicts.append(decide_uniform_theorem(apply_substitution(p, sub), m, **kwargs))
+            if premise_verdicts[-1].kind is not VerdictKind.THEOREM:
                 break
-        if not all_theorems:
-            continue
-        cv = decide_uniform_theorem(apply_substitution(rule.conclusion, sub), m, **kwargs)
-        undecided |= cv.kind is VerdictKind.INCONCLUSIVE
-        if cv.kind is VerdictKind.NON_THEOREM:
-            return AdmissibilityReport(
-                AdmissibilityStatus.REFUTED,
-                substitution=sub,
-                premise_verdicts=tuple(premise_verdicts),
-                conclusion_verdict=cv,
-                depth=depth,
-            ), undecided
-    return AdmissibilityReport(AdmissibilityStatus.NO_REFUTATION, depth=depth), undecided
+        else:
+            cv = decide_uniform_theorem(apply_substitution(rule.conclusion, sub), m, **kwargs)
+            if cv.kind is VerdictKind.NON_THEOREM:
+                return AdmissibilityReport(
+                    AdmissibilityStatus.REFUTED,
+                    substitution=sub,
+                    premise_verdicts=tuple(premise_verdicts),
+                    conclusion_verdict=cv,
+                    depth=depth,
+                )
+    return AdmissibilityReport(AdmissibilityStatus.NO_REFUTATION, depth=depth)
 
 
 def admissibility_consequences_check(

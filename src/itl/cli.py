@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -77,7 +78,7 @@ def _cmd_uniform(args) -> int:
 
 
 def _cmd_refute(args) -> int:
-    target = parse_rule(args.rule) if args.rule else parse_formula(args.formula)
+    target = parse_rule(args.rule) if args.rule is not None else parse_formula(args.formula)
     verdict = decide.bounded_nt_refutation(target, args.max_worlds, args.max_reach)
     _emit(decide.verdict_to_dict(verdict))
     return 0
@@ -123,8 +124,19 @@ def _cmd_admissible(args) -> int:
     return 0
 
 
+# Python's default limit on the digits of an integer it prints.
+_MAX_PRINTED_DIGITS = 4300
+
+
 def _cmd_bound(args) -> int:
-    print(decide.finite_model_size_bound(args.letters, args.disjuncts))
+    n, l = args.letters, args.disjuncts
+    if n >= 1 and l >= 1:
+        # Digits of the leading term nl * l**nl * nl!, estimated before the
+        # exact integer is built; nl! alone has over 5700 digits from nl = 2000 on.
+        nl = n * l
+        if nl >= 2000 or math.log10(nl * l**nl) + math.lgamma(nl + 1) / math.log(10) > _MAX_PRINTED_DIGITS:
+            raise ValueError(f"the bound has more than {_MAX_PRINTED_DIGITS} digits")
+    print(decide.finite_model_size_bound(n, l))
     return 0
 
 

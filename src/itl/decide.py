@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .frames import FiniteLassoFrame, LassoRun, Model, UniformWindowFrame, model_from_dict, model_to_dict
+from .frames import FiniteLassoFrame, LassoRun, Model, UniformWindowFrame, int_field, model_from_dict, model_to_dict
 from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from .semantics import eval_nt, formula_valid_in_model, rule_refutation_mask
 from .syntax import Formula, Rule, letters_of, parse_formula, parse_rule, print_formula, print_rule, reach, read_set
@@ -254,8 +254,10 @@ def countermodel_from_dict(data: Mapping) -> Countermodel:
     if not isinstance(model, Model):
         raise ValueError("certificates use single-valuation models")
     text = data["target"]
+    if not isinstance(text, str):
+        raise ValueError("a certificate's target must be formula or rule text")
     target: Union[Formula, Rule] = parse_rule(text) if "/" in text else parse_formula(text)
-    return Countermodel(model, int(data["world"]), target)
+    return Countermodel(model, int_field(data["world"], "a certificate's world"), target)
 
 
 def _caps_to_dict(caps: SearchCaps) -> dict:

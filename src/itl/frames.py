@@ -228,6 +228,14 @@ def frame_to_dict(frame: Frame) -> dict:
     return {"kind": "uniform", "worlds": frame.worlds, "measure": frame.measure}
 
 
+def int_field(value, what: str) -> int:
+    """``int(value)`` for a number read from JSON; a value ``int`` refuses is a FrameError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FrameError(f"{what} must be an integer") from None
+
+
 def frame_from_dict(data: Mapping) -> Frame:
     if not isinstance(data, Mapping):
         raise FrameError("a frame must be a JSON object")
@@ -235,9 +243,10 @@ def frame_from_dict(data: Mapping) -> Frame:
     if kind == "lasso":
         if not isinstance(data["reach"], list):
             raise FrameError("reach must be a list of lengths")
-        return FiniteLassoFrame(int(data["worlds"]), int(data["loop"]), tuple(int(d) for d in data["reach"]))
+        reach = tuple(int_field(d, "a reach length") for d in data["reach"])
+        return FiniteLassoFrame(int_field(data["worlds"], "worlds"), int_field(data["loop"], "loop"), reach)
     if kind == "uniform":
-        return UniformWindowFrame(int(data["worlds"]), int(data["measure"]))
+        return UniformWindowFrame(int_field(data["worlds"], "worlds"), int_field(data["measure"], "measure"))
     raise FrameError(f"unknown frame kind {kind!r}")
 
 
@@ -250,7 +259,7 @@ def _valuation_from_entry(entry: Mapping) -> tuple[str, Valuation]:
         raise FrameError("a valuation entry must be a JSON object with a \"letters\" object")
     letters = {}
     for name, ws in entry["letters"].items():
-        if not isinstance(ws, list) or any(int(a) < 0 for a in ws):
+        if not isinstance(ws, list) or any(int_field(a, "a world index") < 0 for a in ws):
             raise FrameError(f"worlds of letter {name!r} must be a list of non-negative indices")
         letters[name] = frozenset(int(a) for a in ws)
     return str(entry["agent"]), Valuation(letters)

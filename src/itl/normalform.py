@@ -183,14 +183,9 @@ def to_reduced_normal_form(rule: Rule, *, max_atoms: Optional[int] = None) -> Re
     width = atom_count(n)
     if width > cap:
         raise ResourceCapError(f"{n} variables need {width} atoms (cap {cap})")
-    var_index = {g: i for i, g in enumerate(order)}
-    until_pos: dict[tuple[int, int], int] = {}
-    t = 2 * n
-    for i in range(n):
-        for k in range(n):
-            if i != k:
-                until_pos[(i, k)] = t
-                t += 1
+    names = tuple(f"x{i + 1}" for i in range(n))
+    position = {atom: j for j, atom in enumerate(_atom_formulas(names))}
+    var = {g: Letter(x) for g, x in zip(order, names)}
 
     rows = 1 << width
     codes = np.arange(rows, dtype=np.uint64)
@@ -198,34 +193,31 @@ def to_reduced_normal_form(rule: Rule, *, max_atoms: Optional[int] = None) -> Re
     for j in range(width):
         bits[:, j] = (codes >> np.uint64(j)) & np.uint64(1)
 
-    def base(i: int) -> np.ndarray:
-        return bits[:, i]
+    def bit(atom: Formula) -> np.ndarray:
+        return bits[:, position[atom]]
 
-    mask = base(var_index[phi]).copy()
-    for g, i in var_index.items():
+    mask = bit(var[phi]).copy()
+    for g, x in var.items():
         if isinstance(g, Letter):
             continue
         if isinstance(g, TrueBool):
-            mask &= base(i)
+            mask &= bit(x)
         elif isinstance(g, FalseBool):
-            mask &= ~base(i)
+            mask &= ~bit(x)
         elif isinstance(g, Not):
-            mask &= base(i) == ~base(var_index[g.arg])
+            mask &= bit(x) == ~bit(var[g.arg])
         elif isinstance(g, And):
-            mask &= base(i) == (base(var_index[g.left]) & base(var_index[g.right]))
+            mask &= bit(x) == (bit(var[g.left]) & bit(var[g.right]))
         elif isinstance(g, Or):
-            mask &= base(i) == (base(var_index[g.left]) | base(var_index[g.right]))
+            mask &= bit(x) == (bit(var[g.left]) | bit(var[g.right]))
         elif isinstance(g, Implies):
-            mask &= base(i) == (~base(var_index[g.left]) | base(var_index[g.right]))
+            mask &= bit(x) == (~bit(var[g.left]) | bit(var[g.right]))
         elif isinstance(g, Next):
-            mask &= base(i) == bits[:, n + var_index[g.arg]]
+            mask &= bit(x) == bit(Next(var[g.arg]))
         elif isinstance(g, Until):
-            left, right = var_index[g.left], var_index[g.right]
-            if left == right:
-                # x U x is x (the witness may be the current world)
-                mask &= base(i) == base(left)
-            else:
-                mask &= base(i) == bits[:, until_pos[(left, right)]]
+            left, right = var[g.left], var[g.right]
+            # x U x is x (the witness may be the current world)
+            mask &= bit(x) == bit(left if left == right else Until(left, right))
         else:
             raise TypeError(f"not a formula: {g!r}")
 
@@ -233,7 +225,7 @@ def to_reduced_normal_form(rule: Rule, *, max_atoms: Optional[int] = None) -> Re
     if keys.shape[0] == 0:
         # eps forces x1 true at every world, so the rule holds in every frame.
         return ReducedNormalFormRule(("x1",), np.array([0b01, 0b11]))
-    return ReducedNormalFormRule(tuple(f"x{i + 1}" for i in range(n)), keys)
+    return ReducedNormalFormRule(names, keys)
 
 
 def match_reduced_form(rule: Rule) -> Optional[ReducedNormalFormRule]:

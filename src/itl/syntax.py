@@ -435,26 +435,6 @@ _PRINTED.update(
 _SPELLED_CONSTANTS = {type(c): word for word, c in _CONSTANTS.items()}
 
 
-def _nesting(f: Formula, level: int = 0) -> int:
-    """Nesting levels the parser counts on the printed form of ``f``.
-
-    Follows :func:`_print_at`: a parenthesis adds one level, and a prefix
-    operator or the right operand of a right-associative one adds its
-    ``cost``.  Recurses over the tree's height.
-    """
-    printed = _PRINTED.get(type(f))
-    if printed is None:
-        return 0
-    _, op, infix = printed
-    if op.level < level:
-        return 1 + _nesting(f, 0)
-    if not infix:
-        return op.cost + _nesting(f.arg, op.level)
-    if op.right:
-        return max(_nesting(f.left, op.level + 1), op.cost + _nesting(f.right, op.level))
-    return max(_nesting(f.left, op.level), _nesting(f.right, op.level + 1))
-
-
 def _print_at(f: Formula, level: int, out: list[str]) -> None:
     """Print ``f`` where the context requires binding strength ``level``."""
     printed = _PRINTED.get(type(f))
@@ -626,16 +606,19 @@ def expand_derived(
     All operators are unary in their subject formula; ``KSince`` carries its
     trigger inside the operator.  ``m``/``k`` fill in parameters the operator
     instance left unset.  It refuses (``ValueError``) a result the parser
-    would reject: more than ``2 * MAX_NESTING`` nodes high, or printed
-    more than ``MAX_NESTING`` levels deep.
+    would reject: more than ``2 * MAX_NESTING`` nodes high, measured before
+    printing it, or printed more than ``MAX_NESTING`` levels deep, which the
+    parser itself judges on the printed text.
     """
     if len(args) != 1:
         raise ValueError(f"{type(op).__name__} takes exactly one formula, got {len(args)}")
     f = _expand(op, args[0], m, k)
     if _height(f) > 2 * MAX_NESTING:
         raise ValueError(f"expanded formula tree higher than {2 * MAX_NESTING} levels")
-    if _nesting(f) > MAX_NESTING:
-        raise ValueError(f"expanded formula nested deeper than {MAX_NESTING} levels")
+    try:
+        parse_formula(print_formula(f))
+    except ParseError:
+        raise ValueError(f"expanded formula nested deeper than {MAX_NESTING} levels") from None
     return f
 
 

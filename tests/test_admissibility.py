@@ -29,6 +29,7 @@ from itl import (
     parse_formula,
     parse_rule,
     pool_size,
+    reach,
     rule_valid_in_frame,
     search_refuting_substitution,
     subformulas,
@@ -142,13 +143,40 @@ def test_pool_classes_are_the_equivalence_classes(depth, m, classes):
         assert a == b or not _equivalent(pool[a], pool[b], m)
 
 
+# The (depth, m) at which the pool is classified: its widest window,
+# 2m + 1 worlds at depth 2 and m + 1 at depth 1, has at most 20 bits.
+_CLASSIFIED = [(0, m) for m in (1, 2, 5, 20, 40)] + [(1, m) for m in range(1, 20)] + [(2, m) for m in range(1, 10)]
+
+
+@pytest.mark.parametrize("depth, m", _CLASSIFIED)
+def test_class_firsts_reach_no_further_and_have_no_more_letters(depth, m):
+    pool = substitution_pool(depth)
+    firsts = pool_class_firsts(pool, m)
+    assert firsts is not None
+    for f, first in zip(pool, firsts):
+        assert reach(pool[first], m) <= reach(f, m)
+        if not letters_of(f):
+            assert first in (0, 1)
+
+
+def test_class_first_reaching_further_than_a_member_is_not_used():
+    # X p & X !p comes first in its class, false, and reaches one world
+    # further than the later !true.
+    x_p, not_p = Next(p), Not(p)
+    x_not_p = Next(not_p)
+    pool = [p, x_p, not_p, x_not_p, And(x_p, x_not_p), TRUE, Not(TRUE)]
+    assert pool_class_firsts(pool, 1) is None
+    assert pool_class_firsts(pool[:5], 1) == [0, 1, 2, 3, 4]
+
+
 def test_pool_too_wide_to_classify_is_searched_whole():
-    pool = substitution_pool(1)
-    m = DEFAULT_MAX_ATOMS  # p U p reaches m, so its window needs m + 1 valuation bits
-    assert pool_class_firsts(pool, m) is None
-    rule = parse_rule("x / x U X x")
-    got = search_refuting_substitution(rule, m, 1)
-    assert report_to_dict(got) == report_to_dict(_full_search(rule, m, 1))
+    # p U p reaches m, so its window needs m + 1 valuation bits; (p U p) U p needs 2m + 1.
+    for depth, m in [(1, DEFAULT_MAX_ATOMS), (2, DEFAULT_MAX_ATOMS // 2)]:
+        pool = substitution_pool(depth)
+        assert pool_class_firsts(pool, m) is None
+        rule = parse_rule("x / x U X x")
+        got = search_refuting_substitution(rule, m, depth)
+        assert report_to_dict(got) == report_to_dict(_full_search(rule, m, depth))
 
 
 # --- refutation search --------------------------------------------------------
@@ -327,14 +355,15 @@ _REFUTED_BY_LETTER_FORMULAS = [
 
 @pytest.mark.parametrize("tight", [False, True], ids=["default-caps", "tight-caps"])
 def test_class_search_reports_what_the_whole_pool_search_reports(monkeypatch, tight):
-    searches = []
-    real = admissibility._first_refutation
+    kinds = set()
+    real = admissibility.decide_uniform_theorem
 
-    def spy(rule, m, depth, candidates, kwargs):
-        searches.append(len(candidates))
-        return real(rule, m, depth, candidates, kwargs)
+    def spy(f, m, **caps):
+        verdict = real(f, m, **caps)
+        kinds.add(verdict.kind)
+        return verdict
 
-    monkeypatch.setattr(admissibility, "_first_refutation", spy)
+    monkeypatch.setattr(admissibility, "decide_uniform_theorem", spy)
     rng = random.Random(131 if tight else 137)
     # (depth, letters) mixes: a 1-letter rule at depth 2 walks all 1515 pool tuples in the reference
     mixes = [(0, 1), (0, 2)] * 4 + [(1, 1), (1, 2)] * 5 + [(2, 1)] * 3 + [(2, 2)]
@@ -342,17 +371,14 @@ def test_class_search_reports_what_the_whole_pool_search_reports(monkeypatch, ti
     if not tight:
         corpus += [(depth, m, parse_rule(text)) for depth, m, text in _REFUTED_BY_LETTER_FORMULAS]
     statuses = set()
-    fallbacks = 0
     for depth, m, rule in corpus:
         caps = {"max_worlds": rng.randint(2, 4), "max_atoms": rng.randint(3, 8)} if tight else {}
-        del searches[:]
         got = search_refuting_substitution(rule, m, depth, **caps)
         want = _full_search(rule, m, depth, **caps)
         assert json.dumps(report_to_dict(got), sort_keys=True) == json.dumps(report_to_dict(want), sort_keys=True)
         assert got.premise_verdicts == want.premise_verdicts
         statuses.add((got.status, got.cap_note is not None))
-        fallbacks += len(searches) == 2
     assert (AdmissibilityStatus.REFUTED, False) in statuses
     assert (AdmissibilityStatus.NO_REFUTATION, False) in statuses
     if tight:
-        assert fallbacks >= 1  # an inconclusive verdict sent a search back to the whole pool
+        assert VerdictKind.INCONCLUSIVE in kinds  # the class search met verdicts the caps left open

@@ -162,6 +162,28 @@ def test_bound_command(capsys):
     assert code == 0 and out == "1552\n"
 
 
+def test_bound_too_long_to_print_is_refused_before_it_is_built(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", "--letters", "1000", "--disjuncts", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "error: the bound has more than 4300 digits\n"
+
+
+def test_bound_keeps_the_longest_printable_results(capsys):
+    # 2 letters and 420 disjuncts give a bound of exactly 4300 digits; 421 give 4312.
+    code, out, err = run(capsys, "bound", "--letters", "2", "--disjuncts", "420")
+    assert code == 0 and err == "" and len(out) == 4301
+    code, out, err = run(capsys, "bound", "--letters", "2", "--disjuncts", "421")
+    assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_refute_with_an_empty_rule_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "refute", "--rule", "", "--max-worlds", "1", "--max-reach", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "'/'" in err
+
+
 def test_expand_command(capsys):
     code, out, _ = run(capsys, "expand", "--op", "k-past", "--m", "2", "--formula", "p")
     assert code == 0 and out == "p U (X X X !p & X X p)\n"
@@ -419,3 +441,62 @@ def test_chain_at_the_height_limit_runs(capsys, command, op):
     code, out, err = run(capsys, *CHAIN_COMMANDS[command], chain)
     assert code == 0 and err == ""
     assert json.loads(out)["verdict"] in {"theorem", "non_theorem", "inconclusive"}
+
+
+_CERTIFICATE = {
+    "frame": {"kind": "lasso", "worlds": 1, "loop": 0, "reach": [1]},
+    "valuations": [{"agent": "V", "letters": {}}],
+    "world": 0,
+    "target": "p",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("world", None), ("world", [0]), ("world", "zero"), ("target", 5), ("target", None)],
+)
+def test_verify_rejects_certificate_fields_of_the_wrong_type(tmp_path, capsys, field, value):
+    cert = dict(_CERTIFICATE, **{field: value})
+    path = write_model(tmp_path, "verdict.json", {"verdict": "non_theorem", "certificate": cert, "caps": None})
+    code, out, err = run(capsys, "verify", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and field in err
+
+
+def test_verify_reads_an_integer_world_written_as_a_number_string(tmp_path, capsys):
+    cert = dict(_CERTIFICATE, world="0")
+    path = write_model(tmp_path, "verdict.json", {"verdict": "non_theorem", "certificate": cert, "caps": None})
+    assert run(capsys, "verify", path) == (0, '{"ok": true}\n', "")
+
+
+_LASSO = {"kind": "lasso", "worlds": 1, "loop": 0, "reach": [1]}
+
+
+@pytest.mark.parametrize(
+    "frame, letters",
+    [
+        (dict(_LASSO, worlds=[2]), {}),
+        (dict(_LASSO, loop=None), {}),
+        (dict(_LASSO, reach=[None]), {}),
+        (dict(_LASSO, reach=[float("inf")]), {}),
+        ({"kind": "uniform", "worlds": {}, "measure": 1}, {}),
+        (_LASSO, {"p": [None]}),
+        (_LASSO, {"p": [[0]]}),
+    ],
+    ids=["worlds-list", "loop-null", "reach-null", "reach-infinite", "uniform-worlds-object", "world-null", "world-list"],
+)
+@pytest.mark.parametrize("command", ["eval", "vote", "rule-valid-model", "rule-valid-frame"])
+def test_model_and_frame_fields_of_the_wrong_type_are_errors(tmp_path, capsys, command, frame, letters):
+    model = write_model(tmp_path, "model.json", {"frame": frame, "valuations": [{"agent": "V", "letters": letters}]})
+    argv = {
+        "eval": ("eval", "--formula", "p", "--model", model),
+        "vote": ("vote", "--model", model),
+        "rule-valid-model": ("rule-valid", "--rule", "p / p", "--model", model),
+        "rule-valid-frame": ("rule-valid", "--rule", "p / p", "--frame", model),
+    }[command]
+    code, out, err = run(capsys, *argv)
+    if command == "rule-valid-frame" and letters:
+        assert code == 0  # a frame file's valuations are not read
+        return
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
