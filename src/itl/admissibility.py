@@ -142,7 +142,6 @@ def pool_class_firsts(pool: Sequence[Formula], m: int) -> Optional[list[int]]:
     if bits > DEFAULT_MAX_ATOMS:
         return None
     ev = BatchEvaluator(UniformWindowFrame(width, m), letters, range(1 << bits))
-    valid = (1 << (1 << bits)) - 1 if bits < 6 else None  # the unpadded bits of the one word
     first_of_row: dict = {}
     first_of_shape: dict = {}
     class_of: dict[int, int] = {}
@@ -151,7 +150,7 @@ def pool_class_firsts(pool: Sequence[Formula], m: int) -> Optional[list[int]]:
         first = first_of_shape.get(shape)
         if first is None:
             row = ev.table(f)[0]
-            key = int(row[0]) & valid if valid is not None else row.tobytes()
+            key = (row & ev.valid).tobytes()
             first = first_of_shape[shape] = first_of_row.setdefault(key, i)
         class_of[id(f)] = first
     firsts = [class_of[id(f)] for f in pool]

@@ -28,6 +28,7 @@ from .frames import (
     frame_from_dict,
     load_model,
     model_to_dict,
+    read_json,
     vote,
 )
 from .limits import ResourceCapError
@@ -105,8 +106,7 @@ def _cmd_rule_valid(args) -> int:
             raise FrameError("rule validity in a model needs a single-valuation model file")
         valid = rule_valid_in_model(model, rule)
     else:
-        with open(args.frame, encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = read_json(args.frame)
         if not isinstance(data, dict):
             raise FrameError("a frame file must hold a JSON object")
         frame = frame_from_dict(data.get("frame", data))
@@ -166,12 +166,7 @@ def _cmd_vote(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.file == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.file, encoding="utf-8") as handle:
-            data = json.load(handle)
-    verdict = decide.verdict_from_dict(data)
+    verdict = decide.verdict_from_dict(read_json(sys.stdin if args.file == "-" else args.file))
     ok = decide.check_certificate(verdict)
     _emit({"ok": ok})
     return 0 if ok else 1

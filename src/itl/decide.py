@@ -117,7 +117,7 @@ def _decide_uniform(f: Formula, m: int, want: bool, max_atoms: Optional[int], ma
     makes no code larger), so it becomes the same certificate.  The caps
     still count all ``n * width`` bits: verdicts are Inconclusive when the
     window or the full valuation count would exceed them.  A sweep of at
-    most 6 bits is one word either way and runs on the plain layout.
+    most 6 bits is one word either way and keeps every bit.
     """
     atom_cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
@@ -191,9 +191,8 @@ def bounded_nt_refutation(
     for run in iter_lasso_runs(max_worlds, max_reach):
         found = scan_valuations(run, letters, mask)
         if found is not None:
-            n_bits = len(letters) * run.worlds
-            frame = run.frame(found >> n_bits)
-            model = Model(frame, decode_valuation(found & ((1 << n_bits) - 1), letters, frame.worlds))
+            frame = run.frame(found >> (len(letters) * run.worlds))
+            model = Model(frame, decode_valuation(found, letters, frame.worlds))
             world = _first_failure_world(model, failing)
             return Verdict(VerdictKind.NON_THEOREM, Countermodel(model, world, target))
     return Verdict(VerdictKind.INCONCLUSIVE, caps=caps)

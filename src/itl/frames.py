@@ -197,17 +197,14 @@ class MultiAgentModel:
 
 
 def vote(mam: MultiAgentModel) -> Model:
-    """Collapse agent valuations into one by strict majority; ties come out false."""
-    n = len(mam.valuations)
-    letters = sorted({name for v in mam.valuations.values() for name in v.letters()})
+    """Collapse agent valuations into one by strict majority; ties come out false, as do unlisted worlds."""
+    agents = mam.valuations.values()
+    n = len(agents)
+    letters = sorted({name for v in agents for name in v.letters()})
     voted: dict[str, frozenset[int]] = {}
     for letter in letters:
-        worlds = [
-            a
-            for a in range(mam.frame.worlds)
-            if sum(v.holds(letter, a) for v in mam.valuations.values()) * 2 > n
-        ]
-        voted[letter] = frozenset(worlds)
+        listed = set().union(*(v.true_worlds.get(letter, _EMPTY) for v in agents))
+        voted[letter] = frozenset(a for a in listed if sum(v.holds(letter, a) for v in agents) * 2 > n)
     return Model(mam.frame, Valuation(voted))
 
 
@@ -291,11 +288,19 @@ def model_from_dict(data: Mapping) -> Model | MultiAgentModel:
     return MultiAgentModel(frame, dict(pairs))
 
 
+def read_json(fp: IO[str] | str):
+    """The JSON value in a file path or text stream; nesting too deep to decode is a FrameError."""
+    try:
+        if isinstance(fp, str):
+            with open(fp, encoding="utf-8") as handle:
+                return json.load(handle)
+        return json.load(fp)
+    except RecursionError:
+        raise FrameError("the JSON is nested too deeply to read") from None
+
+
 def load_model(fp: IO[str] | str) -> Model | MultiAgentModel:
-    if isinstance(fp, str):
-        with open(fp, encoding="utf-8") as handle:
-            return model_from_dict(json.load(handle))
-    return model_from_dict(json.load(fp))
+    return model_from_dict(read_json(fp))
 
 
 def dump_model(model: Model | MultiAgentModel, fp: IO[str]) -> None:

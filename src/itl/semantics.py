@@ -103,9 +103,24 @@ def formula_valid_in_model(model: Model, f: Formula) -> bool:
 
     On uniform frames this requires the formula's window to fit at every
     world, which only reach-0 formulas satisfy; temporal formulas should be
-    checked through the decision procedures instead.
+    checked through the decision procedures instead.  Of the worlds whose
+    window fits, only those whose window meets a listed world are evaluated,
+    plus one whose window meets none, as all of those agree; the result is
+    the world-by-world loop's, False or :class:`WindowOverflowError`.
     """
-    return all(eval_nt(model, a, f) for a in range(model.frame.worlds))
+    frame = model.frame
+    if not isinstance(frame, UniformWindowFrame):
+        return all(eval_nt(model, a, f) for a in range(frame.worlds))
+    horizon = reach(f, frame.measure)
+    last = frame.worlds - 1 - horizon  # the last world the window fits at
+    listed = set().union(*model.valuation.true_worlds.values())
+    worlds = {a for b in listed for a in range(max(b - horizon, 0), min(b, last) + 1)}
+    quiet = [a for a in (0, *(b + 1 for b in listed)) if a <= last and a not in worlds]
+    if not all(eval_nt(model, a, f) for a in [*worlds, *quiet[:1]]):
+        return False
+    if horizon:
+        eval_nt(model, max(last + 1, 0), f)  # the first world the window overflows at: raises
+    return True
 
 
 def rule_valid_in_model(model: Model, rule: Rule) -> bool:

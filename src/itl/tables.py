@@ -3,21 +3,17 @@
 A valuation over ``n`` letters and ``W`` worlds is encoded as an integer
 code: letter ``i`` is true at world ``a`` in valuation ``v`` iff bit
 ``i*W + a`` of ``v`` is set.  The engine evaluates one frame, or a
-:class:`~itl.frames.LassoRun` of lasso frames of one shape, and numbers the
-valuations of a run frame-major: with ``N = n*W`` valuation bits, code ``g``
-is valuation ``g mod 2**N`` of frame ``g >> N``.  A single frame is the
-one-frame case.
+:class:`~itl.frames.LassoRun` of lasso frames of one shape.
 
-A caller that knows its formula reads only some of the ``n*W`` bits passes
-:func:`scan_valuations` the worlds it reads each letter at, as masks like
-those of :func:`~itl.syntax.read_set`.  The scan then enumerates the kept
-bits alone, a strictly increasing list ``kept`` of full-layout bits
-``i*W + a`` handed to every block: with ``N = len(kept)``, code bit ``k``
-stands for full bit ``kept[k]``, and a letter is false at every world whose
-bit is not kept.  The scan deposits each bit ``k`` of its first hit at
-``kept[k]``, which keeps the order of codes, so it returns the first
-full-layout code that hits with every unread bit clear.  Without read masks
-the plain layout runs.
+Inside the engine a valuation is a code over a strictly increasing list
+``kept`` of these full-layout bits, every bit by default (``range(n*W)``):
+with ``N = len(kept)``, code bit ``k`` stands for full bit ``kept[k]``, and a
+letter is false at every world whose bit is not kept.  The codes of a run
+are numbered frame-major: code ``g`` is valuation ``g mod 2**N`` of frame
+``g >> N``.  :func:`scan_valuations` keeps the bits its read masks mark
+(like those of :func:`~itl.syntax.read_set`) and deposits each bit ``k`` of
+its first hit at ``kept[k]``, which keeps the order of codes, so it returns
+the first full-layout code that hits with every unkept bit clear.
 
 :class:`BatchEvaluator` evaluates a formula on every valuation of a
 contiguous block of codes at once.  Its tables are ``(W, words)`` ``uint64``
@@ -27,7 +23,7 @@ every frame padded to whole words.  With ``N >= 6`` code ``g`` is bit
 and a block's table starts at the global word of its first code.  With
 ``N < 6`` each frame is one word whose bit ``c`` holds the frame's valuation
 ``c``; its bits ``2**N`` and up are padding and hold unspecified values,
-which whoever reads a table masks.
+which whoever reads a table masks with the evaluator's ``valid`` word.
 
 Because blocks start on a word boundary, a letter's row needs no
 per-valuation work: an atom bit ``k < 6`` is the same periodic word
@@ -48,8 +44,7 @@ results reproducible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -68,6 +63,7 @@ _LOW_MASKS = tuple(
 Frames = Union[Frame, LassoRun]
 
 
+@lru_cache(maxsize=64)  # every block of a scan, and every decide of one window size, asks again
 def _shape(frame: Frames) -> tuple[np.ndarray, np.ndarray]:
     """Successor of every world, and reach lengths with one row per frame."""
     worlds = frame.worlds
@@ -77,23 +73,21 @@ def _shape(frame: Frames) -> tuple[np.ndarray, np.ndarray]:
     else:
         succ = [*range(1, worlds), frame.loop]
         reaches = frame.reaches if isinstance(frame, LassoRun) else [frame.reach]
-    return np.array(succ), np.asarray(reaches)
-
-
-def _frame_count(frame: Frames) -> int:
-    return len(frame) if isinstance(frame, LassoRun) else 1
+    succ, reaches = np.array(succ), np.asarray(reaches)
+    succ.flags.writeable = reaches.flags.writeable = False  # shared through the cache
+    return succ, reaches
 
 
 class BatchEvaluator:
     """Packed truth tables for one frame or run and one block of valuation codes.
 
     ``frame`` is a frame or a :class:`~itl.frames.LassoRun`, and ``indices``
-    a contiguous ``range`` of its codes in the frame-major numbering of the
-    module docstring.  The block starts on a word boundary: a multiple of 64,
-    or of the frame's ``2**N`` valuations when a frame has fewer than 64.
-    ``table(f)[a]`` is the packed truth of ``f`` at world ``a``.  With
-    ``kept`` the codes run over the kept bits only (module docstring); it is
-    looked up by bisection, so a block builds no bit map of its own.
+    a contiguous ``range`` of its codes over the bits ``kept`` (every bit
+    when None) in the frame-major numbering of the module docstring.  The
+    block starts on a word boundary: a multiple of 64, or of the frame's
+    ``2**N`` valuations when a frame has fewer than 64.  ``table(f)[a]`` is
+    the packed truth of ``f`` at world ``a``, and ``valid`` the word whose
+    set bits are the valuations rather than padding.
 
     On uniform frames the rows past a formula's window guarantee hold
     unspecified values; callers must only read rows ``a`` with
@@ -108,13 +102,14 @@ class BatchEvaluator:
         self.letters = tuple(letters)
         self.indices = indices
         self.worlds = frame.worlds
-        n_bits = len(self.letters) * self.worlds
-        if kept is not None:
-            if any(b >= c for b, c in zip(kept, kept[1:])) or (kept and not 0 <= kept[0] <= kept[-1] < n_bits):
-                raise ValueError(f"kept must be increasing bits below {n_bits}")
-            n_bits = len(kept)
-        self._kept = kept
+        full_bits = len(self.letters) * self.worlds
+        kept = kept if kept is not None else range(full_bits)  # None keeps every bit
+        if list(kept) != sorted(set(kept)) or (kept and not 0 <= kept[0] <= kept[-1] < full_bits):
+            raise ValueError(f"kept must be increasing bits below {full_bits}")
+        self._code_bit = dict(zip(kept, range(len(kept))))
+        n_bits = len(kept)
         shift = min(n_bits, 6)  # log2 of the codes one word holds
+        self.valid = _ONES if n_bits >= 6 else np.uint64((1 << (1 << n_bits)) - 1)
         if indices.start % (1 << shift):
             raise ValueError(f"a block must start at a multiple of {1 << shift}, not {indices.start}")
         self._succ, reaches = _shape(frame)
@@ -168,20 +163,11 @@ class BatchEvaluator:
 
     def _letter(self, name: str) -> np.ndarray:
         i = self._pos[name]  # missing letter = caller bug: batch letters must cover the formula
-        rows = np.empty((self.worlds, self.words), dtype=np.uint64)
-        kept = self._kept
+        rows = np.zeros((self.worlds, self.words), dtype=np.uint64)  # false at every unkept bit
         for a in range(self.worlds):
-            k = i * self.worlds + a
-            if kept is not None:  # the code bit standing for full bit k, if it is kept
-                j = bisect_left(kept, k)
-                if j == len(kept) or kept[j] != k:
-                    rows[a] = 0  # an unread bit: the letter is false there
-                    continue
-                k = j
-            if k < 6:
-                rows[a] = _LOW_MASKS[k]
-            else:
-                rows[a] = -((self._word_index >> np.uint64(k - 6)) & np.uint64(1))
+            k = self._code_bit.get(i * self.worlds + a)
+            if k is not None:
+                rows[a] = _LOW_MASKS[k] if k < 6 else -((self._word_index >> np.uint64(k - 6)) & np.uint64(1))
         return rows
 
     @cached_property
@@ -254,25 +240,23 @@ def scan_valuations(
 
     With ``reads``, bit ``a`` of ``reads[name]`` says the predicate reads
     ``name`` at world ``a``: only those bits are enumerated, every other
-    letter bit stays false, and the result is still a code of the plain
-    layout (module docstring).
+    letter bit stays false, and the result is still a full-layout code
+    (module docstring).
     """
     full_bits = len(letters) * frame.worlds
-    kept = None if reads is None else _kept_bits(letters, frame.worlds, reads)
-    n_bits = full_bits if kept is None else len(kept)
+    kept = range(full_bits) if reads is None else _kept_bits(letters, frame.worlds, reads)
+    n_bits = len(kept)
     shift = min(n_bits, 6)
-    total = _frame_count(frame) << n_bits
+    total = len(_shape(frame)[1]) << n_bits
     step = 1 << (max(chunk_bits, 6) - 6 + shift)
-    valid = np.uint64((1 << (1 << n_bits)) - 1) if n_bits < 6 else _ONES  # the unpadded bits of a word
     for start in range(0, total, step):
-        hits = fail_mask(BatchEvaluator(frame, letters, range(start, min(start + step, total)), kept)) & valid
+        ev = BatchEvaluator(frame, letters, range(start, min(start + step, total)), kept)
+        hits = fail_mask(ev) & ev.valid
         nonzero = np.flatnonzero(hits)
         if nonzero.size:
             j = int(nonzero[0])
             word = int(hits[j])
             found = start + (j << shift) + (word & -word).bit_length() - 1
-            if kept is None:
-                return found
             deposited = sum(1 << bit for k, bit in enumerate(kept) if found >> k & 1)
             return (found >> n_bits << full_bits) | deposited
     return None
@@ -286,7 +270,7 @@ def _kept_bits(letters: Sequence[str], worlds: int, reads: Mapping[str, int]) ->
 
 
 def decode_valuation(code: int, letters: Sequence[str], worlds: int) -> Valuation:
-    """Valuation encoded by ``code`` under the engine's bit layout."""
+    """Valuation encoded by the full-layout ``code``; bits from ``len(letters) * worlds`` up are ignored."""
     true_worlds = {
         name: frozenset(a for a in range(worlds) if (code >> (i * worlds + a)) & 1)
         for i, name in enumerate(letters)

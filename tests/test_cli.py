@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, determinism, env-var caps."""
 
+import io
 import json
 import time
 
@@ -500,3 +501,42 @@ def test_model_and_frame_fields_of_the_wrong_type_are_errors(tmp_path, capsys, c
         return
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "vote", "rule-valid-model", "rule-valid-frame", "verify", "verify-stdin"])
+def test_json_nested_too_deeply_is_an_error(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    argv = {
+        "eval": ("eval", "--formula", "p", "--model", str(path)),
+        "vote": ("vote", "--model", str(path)),
+        "rule-valid-model": ("rule-valid", "--rule", "p / p", "--model", str(path)),
+        "rule-valid-frame": ("rule-valid", "--rule", "p / p", "--frame", str(path)),
+        "verify": ("verify", str(path)),
+        "verify-stdin": ("verify",),
+    }[command]
+    assert run(capsys, *argv) == (1, "", "error: the JSON is nested too deeply to read\n")
+
+
+def test_vote_and_rule_validity_on_a_huge_uniform_frame_finish_at_once(tmp_path, capsys):
+    model = write_model(
+        tmp_path,
+        "big.json",
+        {
+            "frame": {"kind": "uniform", "worlds": 10**9, "measure": 2},
+            "valuations": [{"agent": "V", "letters": {"p": [0, 5, 10**9 - 1]}}],
+        },
+    )
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "vote", "--model", model)
+    assert code == 0 and json.loads(out)["valuations"] == [{"agent": "V", "letters": {"p": [0, 5, 10**9 - 1]}}]
+    assert run(capsys, "rule-valid", "--model", model, "--rule", "true / true")[:2] == (
+        0,
+        '{"rule": "true / true", "valid": true}\n',
+    )
+    assert run(capsys, "rule-valid", "--model", model, "--rule", "true / p")[:2] == (
+        0,
+        '{"rule": "true / p", "valid": false}\n',
+    )
+    assert time.perf_counter() - start < 1.0

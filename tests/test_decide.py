@@ -384,7 +384,7 @@ UNIFORM_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / 
 
 
 def _plain_uniform_verdict(f, m, want):
-    """The uniform decision as a sweep over every bit of the window, plain layout."""
+    """The uniform decision as a sweep over every bit of the window."""
     letters = letters_of(f)
     width = reach(f, m) + 1
     if width > DEFAULT_MAX_WORLDS or len(letters) * width > DEFAULT_MAX_ATOMS:

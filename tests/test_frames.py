@@ -137,6 +137,38 @@ def test_vote_idempotent_when_replicated():
         assert vote(replicated).valuation.true_worlds == voted.valuation.true_worlds
 
 
+def _vote_every_world(mam):
+    """Strict-majority vote counted at every world of the frame."""
+    n = len(mam.valuations)
+    letters = sorted({name for v in mam.valuations.values() for name in v.letters()})
+    return {
+        letter: frozenset(
+            a for a in range(mam.frame.worlds) if sum(v.holds(letter, a) for v in mam.valuations.values()) * 2 > n
+        )
+        for letter in letters
+    }
+
+
+def test_vote_counting_listed_worlds_matches_counting_every_world():
+    rng = random.Random(23)
+    for _ in range(200):
+        worlds = rng.randint(1, 6)
+        frame = UniformWindowFrame(worlds, 1) if rng.random() < 0.5 else FiniteLassoFrame(worlds, 0, (1,) * worlds)
+        density = rng.choice((0.1, 0.5, 0.9))
+        vals = {
+            f"a{i}": Valuation(
+                {
+                    name: frozenset(a for a in range(worlds) if rng.random() < density)
+                    for name in ("p", "q", "r")
+                    if rng.random() < 0.7
+                }
+            )
+            for i in range(rng.randint(1, 5))
+        }
+        mam = MultiAgentModel(frame, vals)
+        assert vote(mam).valuation.true_worlds == _vote_every_world(mam)
+
+
 # --- JSON ------------------------------------------------------------------
 
 

@@ -94,6 +94,46 @@ def test_formula_valid_in_model_basics():
     assert not formula_valid_in_model(Model(frame, Valuation({"p": frozenset({0, 2})})), p)
 
 
+def _outcome(check, model, f):
+    try:
+        return check(model, f)
+    except WindowOverflowError as exc:
+        return f"overflow: {exc}"
+
+
+def _valid_world_by_world(model, f):
+    return all(eval_nt(model, a, f) for a in range(model.frame.worlds))
+
+
+def test_formula_valid_in_uniform_models_matches_the_world_by_world_loop():
+    rng = random.Random(29)
+    outcomes = {"true": 0, "false": 0, "false-reach": 0, "overflow": 0}
+    for _ in range(600):
+        worlds, m = rng.randint(1, 14), rng.randint(1, 3)
+        density = rng.choice((0.0, 0.1, 0.3, 0.9))
+        valuation = Valuation(
+            {name: frozenset(a for a in range(worlds) if rng.random() < density) for name in ("p", "q")}
+        )
+        model = Model(UniformWindowFrame(worlds, m), valuation)
+        f = random_formula(rng, letters=2, depth=rng.randint(0, 3))
+        want = _outcome(_valid_world_by_world, model, f)
+        assert _outcome(formula_valid_in_model, model, f) == want, (f, model)
+        if want is False:
+            outcomes["false-reach" if reach(f, m) else "false"] += 1
+        else:
+            outcomes["true" if want is True else "overflow"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_formula_valid_in_a_huge_uniform_model_evaluates_few_worlds():
+    model = uniform_model(10**9, 2, p={5, 10**9 - 1})
+    assert not formula_valid_in_model(model, p)
+    assert formula_valid_in_model(model, parse_formula("p | !p"))
+    assert not formula_valid_in_model(model, parse_formula("X p"))  # false at world 0, before any overflow
+    with pytest.raises(WindowOverflowError, match="needs worlds up to 1000000000,"):
+        formula_valid_in_model(model, parse_formula("p -> X X !p"))
+
+
 def test_box_fails_where_window_leaves_truth():
     model = Model(FiniteLassoFrame(3, 2, (1, 1, 1)), Valuation({"p": frozenset({0, 1})}))
     g_p = parse_formula("G p")

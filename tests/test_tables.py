@@ -43,17 +43,28 @@ def _scan_cases():
     yield FiniteLassoFrame(5, 2, (1, 1, 2, 2, 3)), parse_formula("p | !(q & X q)"), True  # code 96 of 1024
 
 
-def _first_failure(frame, letters, f, every_world):
+def _first_failure(frame, letters, f, every_world, codes=None):
     worlds = range(frame.worlds) if every_world else (0,)
-    for code in range(1 << (len(letters) * frame.worlds)):
+    for code in range(1 << (len(letters) * frame.worlds)) if codes is None else codes:
         model = Model(frame, decode_valuation(code, letters, frame.worlds))
         if not all(eval_nt(model, a, f) for a in worlds):
             return code
     return None
 
 
+def _submasks(mask):
+    """Every code whose set bits lie in ``mask``, in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
 def test_scan_matches_scalar_brute_force_at_every_chunk_size():
-    partial_word_hits = later_chunk_high_bit_hits = 0
+    partial_word_hits = later_chunk_high_bit_hits = deposited_hits = moved_hits = 0
+    rng = random.Random(47)
     for frame, f, every_world in _scan_cases():
         letters = letters_of(f)
         n_bits = len(letters) * frame.worlds
@@ -62,12 +73,22 @@ def test_scan_matches_scalar_brute_force_at_every_chunk_size():
         else:
             mask = lambda ev, f=f: ~ev.table(f)[0]  # noqa: E731
         expected = _first_failure(frame, letters, f, every_world)
+        # a random read mask (a bit is read with odds 3/4): the oracle walks
+        # the valuations whose unread bits are false, in code order
+        reads = {name: rng.getrandbits(frame.worlds) | rng.getrandbits(frame.worlds) for name in letters}
+        read_bits = sum(reads[name] << (i * frame.worlds) for i, name in enumerate(letters))
+        expected_read = _first_failure(frame, letters, f, every_world, _submasks(read_bits))
         for chunk_bits in CHUNK_BITS:
             assert scan_valuations(frame, letters, mask, chunk_bits=chunk_bits) == expected, (frame, f, chunk_bits)
+            got = scan_valuations(frame, letters, mask, chunk_bits=chunk_bits, reads=reads)
+            assert got == expected_read, (frame, f, chunk_bits, reads)
         if expected is not None:
             partial_word_hits += n_bits < 6
             later_chunk_high_bit_hits += expected >= 128 and expected % 64 >= 6
-    assert partial_word_hits and later_chunk_high_bit_hits
+        # a hit whose kept bits are not a prefix of the layout, and one the mask moved
+        deposited_hits += expected_read not in (None, 0) and read_bits & (read_bits + 1) != 0
+        moved_hits += expected_read not in (None, expected)
+    assert partial_word_hits and later_chunk_high_bit_hits and deposited_hits and moved_hits
 
 
 def test_small_chunks_keep_the_verdict():
