@@ -3,10 +3,10 @@
 Machine-readable output (verdicts, certificates, models, reports) goes to
 stdout in the package's serialization formats; diagnostics go to stderr.
 Exit status 0 means a verdict was produced (including NonTheorem and
-Inconclusive), 1 a file or parse error, 2 a usage error.  Identical
-invocations produce byte-identical output.  The caps fall back to the
-``ITL_MAX_ATOMS`` and ``ITL_MAX_WORLDS`` environment variables when the
-corresponding flags are absent.
+Inconclusive), 1 a file or parse error or running out of memory, 2 a usage
+error.  Identical invocations produce byte-identical output.  The caps fall
+back to the ``ITL_MAX_ATOMS`` and ``ITL_MAX_WORLDS`` environment variables
+when the corresponding flags are absent.
 """
 
 from __future__ import annotations
@@ -261,6 +261,7 @@ _USER_ERRORS = (
     KeyError,
     OSError,
     json.JSONDecodeError,
+    MemoryError,
 )
 
 
@@ -278,7 +279,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

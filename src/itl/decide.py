@@ -143,7 +143,12 @@ def _decide_uniform(f: Formula, m: int, want: bool, max_atoms: Optional[int], ma
 
 
 def iter_lasso_frames(max_worlds: int, max_reach: int) -> Iterator[FiniteLassoFrame]:
-    """All lasso frames under the caps: W ascending, then loop target, then reach lengths."""
+    """All lasso frames under the caps: W ascending, then loop target, then reach lengths.
+
+    The searches walk :func:`iter_lasso_runs` instead.  This one-frame-at-a-time
+    order stays as the reference the batched search is tested against, and as
+    a traced layer of the benchmark.
+    """
     for worlds in range(1, max_worlds + 1):
         cap = min(max_reach, worlds)
         for loop in range(worlds):

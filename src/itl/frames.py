@@ -49,8 +49,8 @@ class UniformWindowFrame:
             raise WindowOverflowError(f"no successor of world {a} in a {self.worlds}-world window frame")
         return a + 1
 
-    def window(self, a: int) -> tuple[int, ...]:
-        return tuple(range(a, min(a + self.measure, self.worlds - 1) + 1))
+    def window(self, a: int) -> range:
+        return range(a, min(a + self.measure, self.worlds - 1) + 1)
 
 
 @dataclass(frozen=True)

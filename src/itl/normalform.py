@@ -7,7 +7,10 @@ rule's variables ``x_1..x_n``.  :func:`to_reduced_normal_form` rewrites an
 arbitrary rule into an equivalent one (same validity on every finite frame)
 by introducing one variable per subformula, constraining each composite
 variable to its top connective, and enumerating all Boolean assignments of
-the atom set that satisfy the constraints plus the premise variable.
+the atom set that satisfy the constraints plus the premise variable.  The
+table engine (:mod:`itl.tables`) enumerates them: every atom is one letter of
+a one-world frame, so bit ``j`` of a valuation code is the sign of atom ``j``
+and the codes that pass are the disjunct keys.
 
 The atom order is canonical throughout: bases ``x_1..x_n``, then nexts
 ``X x_1..X x_n``, then untils ``x_i U x_k`` by ``(i, k)`` lexicographic.
@@ -23,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
+from .frames import UniformWindowFrame
 from .limits import DEFAULT_MAX_ATOMS, ResourceCapError
 from .syntax import (
     And,
-    FalseBool,
     Formula,
     Implies,
     Letter,
@@ -34,11 +37,12 @@ from .syntax import (
     Not,
     Or,
     Rule,
-    TrueBool,
     Until,
+    children,
     letters_of,
     subformulas,
 )
+from .tables import BatchEvaluator, unpack
 
 
 def formula_to_rule(f: Formula) -> Rule:
@@ -173,9 +177,12 @@ def to_reduced_normal_form(rule: Rule, *, max_atoms: Optional[int] = None) -> Re
     conclusion (the conclusion's variable is ``x1``); all ``2**|atoms|``
     assignments are enumerated and filtered by the constraints tying each
     composite variable to its immediate parts, plus truth of the premise
-    variable.  A contradictory premise, which satisfies no assignment, maps
-    to the canonical always-valid form over one variable (both rules are
-    then valid in every frame).
+    variable.  The assignments are the valuations of a
+    :class:`~itl.tables.BatchEvaluator` over one world with one letter per
+    atom, and each constraint is one packed table operation.  A
+    contradictory premise, which satisfies no assignment, maps to the
+    canonical always-valid form over one variable (both rules are then valid
+    in every frame).
     """
     cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     phi, order = _variable_order(rule)
@@ -184,44 +191,22 @@ def to_reduced_normal_form(rule: Rule, *, max_atoms: Optional[int] = None) -> Re
     if width > cap:
         raise ResourceCapError(f"{n} variables need {width} atoms (cap {cap})")
     names = tuple(f"x{i + 1}" for i in range(n))
-    position = {atom: j for j, atom in enumerate(_atom_formulas(names))}
     var = {g: Letter(x) for g, x in zip(order, names)}
+    atoms = _atom_formulas(names)
+    letter = {atom: Letter(str(atom)) for atom in atoms}
+    ev = BatchEvaluator(UniformWindowFrame(1, 1), list(map(str, atoms)), range(1 << width))
 
-    rows = 1 << width
-    codes = np.arange(rows, dtype=np.uint64)
-    bits = np.empty((rows, width), dtype=bool)
-    for j in range(width):
-        bits[:, j] = (codes >> np.uint64(j)) & np.uint64(1)
-
-    def bit(atom: Formula) -> np.ndarray:
-        return bits[:, position[atom]]
-
-    mask = bit(var[phi]).copy()
+    mask = ev.table(var[phi])[0] & ev.valid
     for g, x in var.items():
         if isinstance(g, Letter):
             continue
-        if isinstance(g, TrueBool):
-            mask &= bit(x)
-        elif isinstance(g, FalseBool):
-            mask &= ~bit(x)
-        elif isinstance(g, Not):
-            mask &= bit(x) == ~bit(var[g.arg])
-        elif isinstance(g, And):
-            mask &= bit(x) == (bit(var[g.left]) & bit(var[g.right]))
-        elif isinstance(g, Or):
-            mask &= bit(x) == (bit(var[g.left]) | bit(var[g.right]))
-        elif isinstance(g, Implies):
-            mask &= bit(x) == (~bit(var[g.left]) | bit(var[g.right]))
-        elif isinstance(g, Next):
-            mask &= bit(x) == bit(Next(var[g.arg]))
-        elif isinstance(g, Until):
-            left, right = var[g.left], var[g.right]
-            # x U x is x (the witness may be the current world)
-            mask &= bit(x) == bit(left if left == right else Until(left, right))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
+        # The connective over the parts' variables; an X or U of them is an
+        # atom, except x U x, which is no atom and which the engine reads as x
+        # (its witness may be the current world).
+        part = type(g)(*(var[c] for c in children(g)))
+        mask &= ~(ev.table(x)[0] ^ ev.table(letter.get(part, part))[0])
 
-    keys = codes[mask]
+    keys = np.flatnonzero(unpack(mask, 1 << width))
     if keys.shape[0] == 0:
         # eps forces x1 true at every world, so the rule holds in every frame.
         return ReducedNormalFormRule(("x1",), np.array([0b01, 0b11]))

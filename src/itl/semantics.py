@@ -260,6 +260,15 @@ def eval_classic(cm: ClassicLassoModel, a: int, f: Formula) -> bool:
     """Truth of ``f`` at position ``a`` under classic (unbounded) LTL semantics."""
     if not 0 <= a < cm.worlds:
         raise FrameError(f"world {a} out of range for {cm.worlds} worlds")
+    return _classic_row(cm, f)[a]
+
+
+def classic_valid_in_model(cm: ClassicLassoModel, f: Formula) -> bool:
+    return all(_classic_row(cm, f))
+
+
+def _classic_row(cm: ClassicLassoModel, f: Formula) -> list[bool]:
+    """Truth of ``f`` at every position, built bottom-up one subformula row at a time."""
     rows: dict[Formula, list[bool]] = {}
     for g in subformulas(f):
         if isinstance(g, Letter):
@@ -284,8 +293,4 @@ def eval_classic(cm: ClassicLassoModel, a: int, f: Formula) -> bool:
         else:
             raise TypeError(f"not a formula: {g!r}")
         rows[g] = row
-    return rows[f][a]
-
-
-def classic_valid_in_model(cm: ClassicLassoModel, f: Formula) -> bool:
-    return all(eval_classic(cm, a, f) for a in range(cm.worlds))
+    return rows[f]

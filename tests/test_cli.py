@@ -540,3 +540,34 @@ def test_vote_and_rule_validity_on_a_huge_uniform_frame_finish_at_once(tmp_path,
         '{"rule": "true / p", "valid": false}\n',
     )
     assert time.perf_counter() - start < 1.0
+
+
+def test_until_on_a_uniform_frame_of_huge_measure_walks_its_window_lazily(tmp_path, capsys):
+    model = write_model(
+        tmp_path,
+        "huge.json",
+        {
+            "frame": {"kind": "uniform", "worlds": 200_000_001, "measure": 200_000_000},
+            "valuations": [{"agent": "V", "letters": {"p": [0], "q": [5]}}],
+        },
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--model", model, "--formula", "p U q")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"formula": "p U q", "world": 0, "value": False}
+    assert run(capsys, "eval", "--model", model, "--formula", "F q")[:2] == (
+        0,
+        '{"formula": "true U q", "value": true, "world": 0}\n',
+    )
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.00 GiB for an array with shape (1073741824,)", ""])
+def test_running_out_of_memory_is_a_one_line_error(capsys, monkeypatch, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("itl.normalform.to_reduced_normal_form", exhausted)
+    code, out, err = run(capsys, "rnf", "--rule", "p & X q / p U q", "--max-atoms", "30")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.strip()) > len("error:")

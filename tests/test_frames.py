@@ -26,8 +26,8 @@ from itl.frames import dump_model, frame_from_dict, frame_to_dict
 
 def test_uniform_frame_windows_clip_at_the_end():
     frame = UniformWindowFrame(4, 2)
-    assert frame.window(0) == (0, 1, 2)
-    assert frame.window(3) == (3,)
+    assert tuple(frame.window(0)) == (0, 1, 2)
+    assert tuple(frame.window(3)) == (3,)
     assert frame.next_world(0) == 1
 
 

@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from itl import (
+    And,
+    FalseBool,
     FiniteLassoFrame,
+    Implies,
     Letter,
+    Next,
+    Not,
+    Or,
     ReducedNormalFormRule,
     ResourceCapError,
     Rule,
+    TrueBool,
+    Until,
     formula_to_rule,
     is_reduced_normal_form,
     match_reduced_form,
@@ -21,11 +29,11 @@ from itl import (
     to_reduced_normal_form,
 )
 from itl.decide import iter_lasso_runs
-from itl.normalform import atom_count
+from itl.normalform import _variable_order, atom_count
 from itl.semantics import rule_refutation_mask
 from itl.tables import BatchEvaluator, scan_valuations
 
-from helpers import random_formula
+from helpers import random_formula, random_rule
 
 p, q = Letter("p"), Letter("q")
 
@@ -145,6 +153,65 @@ def test_reflexive_until_collapses_to_its_argument():
     rendered = rnf.to_rule()
     for frame in small_frames():
         assert rule_valid_in_frame(frame, rendered) == rule_valid_in_frame(frame, parse_rule("p / p"))
+
+
+def _reference_keys(rule):
+    """Variables and keys of ``rule``'s reduced form, one Boolean matrix column per atom.
+
+    Kept apart from the table engine as an oracle: atom columns are laid out
+    by hand (bases, nexts, then ``x_i U x_k`` for ``i != k``) and every
+    constructor is checked by its own branch.
+    """
+    phi, order = _variable_order(rule)
+    n = len(order)
+    index = {g: i for i, g in enumerate(order)}
+    codes = np.arange(1 << atom_count(n))
+    bits = (codes[:, None] >> np.arange(atom_count(n))) & 1 == 1
+
+    def until(i, k):
+        return bits[:, i] if i == k else bits[:, 2 * n + i * (n - 1) + k - (k > i)]
+
+    mask = bits[:, index[phi]].copy()
+    for g, i in index.items():
+        x = bits[:, i]
+        if isinstance(g, TrueBool):
+            mask &= x
+        elif isinstance(g, FalseBool):
+            mask &= ~x
+        elif isinstance(g, Not):
+            mask &= x == ~bits[:, index[g.arg]]
+        elif isinstance(g, And):
+            mask &= x == (bits[:, index[g.left]] & bits[:, index[g.right]])
+        elif isinstance(g, Or):
+            mask &= x == (bits[:, index[g.left]] | bits[:, index[g.right]])
+        elif isinstance(g, Implies):
+            mask &= x == (~bits[:, index[g.left]] | bits[:, index[g.right]])
+        elif isinstance(g, Next):
+            mask &= x == bits[:, n + index[g.arg]]
+        elif isinstance(g, Until):
+            mask &= x == until(index[g.left], index[g.right])
+    if not mask.any():
+        return ("x1",), [0b01, 0b11]
+    return tuple(f"x{i + 1}" for i in range(n)), codes[mask].tolist()
+
+
+def test_keys_match_a_boolean_matrix_oracle():
+    rng = random.Random(20)
+    rules = [parse_rule(text) for text in ("true / p", "false / p", "p U p / p", "p & !p / q", "q / p U p")]
+    while len(rules) < 320:
+        rule = random_rule(rng, rng.randint(1, 2), 2)
+        if atom_count(len(_variable_order(rule)[1])) <= 12:
+            rules.append(rule)
+    contradictory = 0
+    for rule in rules:
+        rnf = to_reduced_normal_form(rule)
+        assert (rnf.variables, rnf.keys.tolist()) == _reference_keys(rule), print_rule(rule)
+        contradictory += rnf.variables == ("x1",) and rnf.keys.tolist() == [1, 3]
+    # the fixed rules and enough random ones reach every branch of the oracle
+    assert contradictory >= 2
+    kinds = {type(g) for rule in rules for g in _variable_order(rule)[1]}
+    assert kinds >= {Letter, TrueBool, FalseBool, Not, And, Or, Implies, Next, Until}
+    assert sum(any(isinstance(g, Until) and g.left == g.right for g in _variable_order(r)[1]) for r in rules) >= 10
 
 
 # --- shape recognition -------------------------------------------------------

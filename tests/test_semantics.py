@@ -32,6 +32,7 @@ from itl.syntax import Until as UntilNode, letters_of
 from itl.tables import BatchEvaluator, decode_valuation, unpack
 
 from helpers import (
+    random_classic_model,
     random_formula,
     random_lasso_frame,
     random_lasso_model,
@@ -203,6 +204,18 @@ def test_classic_box_transitivity_is_classically_valid():
         worlds = rng.randint(1, 6)
         cm = ClassicLassoModel(worlds, rng.randint(0, worlds - 1), random_valuation(rng, 1, worlds))
         assert classic_valid_in_model(cm, f)
+
+
+def test_classic_validity_matches_the_per_world_loop():
+    rng = random.Random(31)
+    outcomes = []
+    for _ in range(400):
+        cm = random_classic_model(rng, letters=2, max_worlds=6)
+        f = random_formula(rng, letters=2, depth=rng.randint(1, 4))
+        expected = all(eval_classic(cm, a, f) for a in range(cm.worlds))
+        assert classic_valid_in_model(cm, f) == expected
+        outcomes.append(expected)
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
 
 def test_classic_until_unbounded_witness():
