@@ -9,12 +9,22 @@ routine never claims admissibility from a bounded search, only the fast
 screens do (theorem conclusion, or an unsatisfiable premise, both of which
 make every instance harmless).
 
-Equivalence in the uniform logic is a congruence, so pool formulas with the
-same truth table are interchangeable in every substitution instance.  The
-search therefore tries tuples of class first members (in pool order) and
-finds the tuple the search over the whole pool would find first: a class
-first reaches no further and has no more letters than any member of its
-class, so its instances stay inside every cap its members' instances fit.
+Equivalence in the uniform logic is a congruence, so the search tries
+tuples of *reach records* only: members that reach less far than every
+earlier member of their class.  Let ``rr(c)`` be the earliest member of
+``c``'s class reaching no further than ``c``, a record.  Then:
+
+1. Every member has a record that serves in its place.  Replacing each
+   component of the whole pool's first refuting tuple ``T`` by its ``rr``
+   gives a tuple no later in product order whose instances are equivalent,
+   reach no further and have no more letters (a letterless member's record
+   is ``true`` or ``false``), so they fit the same caps and get the same
+   verdicts: it refutes too, so it is ``T``, made of records.
+2. Records are built from records.  If ``C(a, b)`` is a record, then
+   ``C(rr(a), rr(b))`` is equivalent, reaches no further and is offered no
+   later (its children sit earlier in the snapshot), so it is ``C(a, b)``:
+   :func:`pool_classes` grows the records from records alone.
+3. At depth <= 2 the records are exactly the class first members.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .decide import Verdict, VerdictKind, decide_uniform_theorem, verdict_to_dict
 from .frames import UniformWindowFrame
@@ -39,6 +49,7 @@ from .syntax import (
     Until,
     children,
     print_formula,
+    reach,
 )
 from .tables import BatchEvaluator
 
@@ -65,36 +76,46 @@ _UNARY = (Not, Next)
 _BINARY = (Until, And)
 
 
+def _grow(depth: int, letter: str, admit: Callable[[Formula], bool]) -> list[Formula]:
+    """The leaves, then per level each unary and each binary constructor over the members so far.
+
+    A structurally new candidate becomes a member when ``admit`` accepts it.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    pool = [f for f in (TRUE, FALSE, Letter(letter)) if admit(f)]
+    # Members are structurally distinct and built from members, so two
+    # candidates are equal exactly when their constructors and child
+    # identities are: no recursive hashing of the trees.
+    seen: set[tuple] = set()
+
+    def offer(build: type, *kids: Formula) -> None:
+        key = (build, *map(id, kids))
+        if key not in seen:
+            seen.add(key)
+            f = build(*kids)
+            if admit(f):
+                pool.append(f)
+
+    for _ in range(depth):
+        snapshot = list(pool)
+        for f in snapshot:
+            for build in _UNARY:
+                offer(build, f)
+        for f in snapshot:
+            for h in snapshot:
+                for build in _BINARY:
+                    offer(build, f, h)
+    return pool
+
+
 def substitution_pool(depth: int, letter: str = "p") -> list[Formula]:
     """All formulas over {true, false, letter} closed under !, X, U, & up to ``depth``.
 
     Deduplicated structurally; deterministic order (generation order by
     level).  Every child of a member is an earlier member.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    pool: list[Formula] = [TRUE, FALSE, Letter(letter)]
-    # Members are structurally distinct and built from members, so two
-    # candidates are equal exactly when their constructors and child
-    # identities are: no recursive hashing of the trees.
-    seen: set[tuple] = set()
-
-    def add(build: type, *kids: Formula) -> None:
-        key = (build, *map(id, kids))
-        if key not in seen:
-            seen.add(key)
-            pool.append(build(*kids))
-
-    for _ in range(depth):
-        snapshot = list(pool)
-        for f in snapshot:
-            for build in _UNARY:
-                add(build, f)
-        for f in snapshot:
-            for h in snapshot:
-                for build in _BINARY:
-                    add(build, f, h)
-    return pool
+    return _grow(depth, letter, lambda f: True)
 
 
 def pool_size(depth: int) -> int:
@@ -113,50 +134,29 @@ def pool_size(depth: int) -> int:
     return size
 
 
-def pool_class_firsts(pool: Sequence[Formula], m: int) -> Optional[list[int]]:
-    """Index of the first member of each member's equivalence class, or None.
+def pool_classes(depth: int, m: int) -> Optional[list[Formula]]:
+    """The reach records of ``substitution_pool(depth)`` at memory ``m``, in pool order, or None.
 
-    ``pool`` is a :func:`substitution_pool`.  Two members are equivalent at
-    memory ``m`` exactly when their world-0 rows agree on every valuation of
-    a window as wide as the larger reach, so members are keyed on their
-    world-0 rows on the window of the pool's largest reach ``R``.
-    Equivalence is a congruence: a member whose constructor and child
-    classes match an earlier member's shares its class without being
-    evaluated.
-
-    None when the window's valuation bits (``R + 1`` per letter) exceed
-    ``DEFAULT_MAX_ATOMS``, and when some member's class first reaches
-    further than the member does: substituting the first could then push an
-    instance over a cap the member's instance fits.  Letters need no check:
-    a letterless member has a constant row, so its class first is ``true``
-    or ``false``, the pool's first two members.
+    A candidate grown from records is keyed on its world-0 row over the
+    pool's widest window, ``depth * m + 1`` worlds, and kept when it reaches
+    less far than every record under its key.  None when that window has
+    more than ``DEFAULT_MAX_ATOMS`` valuation bits.
     """
-    kids = [children(f) for f in pool]
-    reaches: dict[int, int] = {}  # a member's children come before it
-    for f, fk in zip(pool, kids):
-        r = max([reaches[id(c)] for c in fk], default=0)
-        reaches[id(f)] = r + (1 if isinstance(f, Next) else m if isinstance(f, Until) else 0)
-    width = max(reaches.values()) + 1
-    letters = [f.name for f in pool if isinstance(f, Letter)]
-    bits = len(letters) * width
-    if bits > DEFAULT_MAX_ATOMS:
+    width = depth * m + 1  # every level reaches at most m further
+    if width > DEFAULT_MAX_ATOMS:
         return None
-    ev = BatchEvaluator(UniformWindowFrame(width, m), letters, range(1 << bits))
-    first_of_row: dict = {}
-    first_of_shape: dict = {}
-    class_of: dict[int, int] = {}
-    for i, (f, fk) in enumerate(zip(pool, kids)):
-        shape = (type(f), *[class_of[id(c)] for c in fk]) if fk else f  # a leaf is its own shape
-        first = first_of_shape.get(shape)
-        if first is None:
-            row = ev.table(f)[0]
-            key = (row & ev.valid).tobytes()
-            first = first_of_shape[shape] = first_of_row.setdefault(key, i)
-        class_of[id(f)] = first
-    firsts = [class_of[id(f)] for f in pool]
-    if any(reaches[id(pool[first])] > reaches[id(f)] for f, first in zip(pool, firsts)):
-        return None
-    return firsts
+    ev = BatchEvaluator(UniformWindowFrame(width, m), ["p"], range(1 << width))
+    least: dict[bytes, int] = {}  # least reach kept under each key
+
+    def admit(f: Formula) -> bool:
+        key = (ev.table(f)[0] & ev.valid).tobytes()
+        r = reach(f, m)
+        if r < least.get(key, r + 1):
+            least[key] = r
+            return True
+        return False
+
+    return _grow(depth, "p", admit)
 
 
 class AdmissibilityStatus(Enum):
@@ -191,9 +191,10 @@ def search_refuting_substitution(
     Premise theoremhood is checked at the given memory length ``m``; an
     Inconclusive premise verdict conservatively disqualifies the tuple, so
     only fully certified refutations are ever reported.  Tuples run over the
-    class first members of :func:`pool_class_firsts`, or over the whole pool
-    when it returns None; either way the report is the whole pool's.  The
-    tuple cap counts pool tuples.
+    reach records of :func:`pool_classes`, or over the whole pool when it
+    returns None; either way the report is the whole pool's, because the
+    whole pool's first refuting tuple is made of records (module
+    docstring).  The tuple cap counts pool tuples.
     """
     letters = rule.letters
     cap = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
@@ -204,16 +205,8 @@ def search_refuting_substitution(
             depth=depth,
             cap_note=f"{total} substitution tuples exceed the cap of {cap}",
         )
-    candidates: Sequence[Formula] = ()  # a letterless rule has the one empty tuple, and needs no pool
-    if letters:
-        # Replacing each component of the whole pool's first refuting tuple
-        # by its class's first member gives a tuple no later in product
-        # order whose instances are equivalent and fit the same caps, so the
-        # class search stops at that same tuple.
-        candidates = pool = substitution_pool(depth)
-        firsts = pool_class_firsts(pool, m)
-        if firsts is not None:
-            candidates = [pool[i] for i in sorted(set(firsts))]
+    classes = pool_classes(depth, m) if letters else ()  # a letterless rule has the one empty tuple, and needs no pool
+    candidates = substitution_pool(depth) if classes is None else classes
     kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
     for combo in product(candidates, repeat=len(letters)):
         sub = dict(zip(letters, combo))

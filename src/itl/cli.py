@@ -26,6 +26,7 @@ from .frames import (
     MultiAgentModel,
     WindowOverflowError,
     frame_from_dict,
+    int_field,
     load_model,
     model_to_dict,
     read_json,
@@ -40,13 +41,9 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _env_int(name: str) -> Optional[int]:
-    value = os.environ.get(name)
-    return int(value) if value else None
-
-
 def _cap(flag_value: Optional[int], env_name: str) -> Optional[int]:
-    return flag_value if flag_value is not None else _env_int(env_name)
+    value = os.environ.get(env_name)
+    return flag_value if flag_value is not None or not value else int_field(value, env_name)
 
 
 def _caps_kwargs(args) -> dict:

@@ -226,7 +226,7 @@ def frame_to_dict(frame: Frame) -> dict:
 
 
 def int_field(value, what: str) -> int:
-    """``int(value)`` for a number read from JSON; a value ``int`` refuses is a FrameError."""
+    """``int(value)`` for a number read from JSON or the environment; a value ``int`` refuses is a FrameError."""
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -288,13 +288,20 @@ def model_from_dict(data: Mapping) -> Model | MultiAgentModel:
     return MultiAgentModel(frame, dict(pairs))
 
 
+class _JSONObject(dict):
+    """A JSON object as :func:`read_json` decodes it: reading a missing key is a FrameError that names it."""
+
+    def __missing__(self, key):
+        raise FrameError(f"missing key {key!r}")
+
+
 def read_json(fp: IO[str] | str):
     """The JSON value in a file path or text stream; nesting too deep to decode is a FrameError."""
     try:
         if isinstance(fp, str):
             with open(fp, encoding="utf-8") as handle:
-                return json.load(handle)
-        return json.load(fp)
+                return json.load(handle, object_hook=_JSONObject)
+        return json.load(fp, object_hook=_JSONObject)
     except RecursionError:
         raise FrameError("the JSON is nested too deeply to read") from None
 

@@ -36,8 +36,11 @@ from itl import (
     substitution_pool,
 )
 from itl import admissibility
-from itl.admissibility import DEFAULT_MAX_TUPLES, pool_class_firsts, report_to_dict
+from itl.admissibility import DEFAULT_MAX_TUPLES, pool_classes, report_to_dict
+from itl.frames import UniformWindowFrame
 from itl.limits import DEFAULT_MAX_ATOMS
+from itl.syntax import children
+from itl.tables import BatchEvaluator
 
 from helpers import random_formula
 
@@ -130,17 +133,49 @@ def _equivalent(f, g, m):
     return decide_uniform_theorem(And(Implies(f, g), Implies(g, f)), m).kind is VerdictKind.THEOREM
 
 
+def _row_key(depth, m):
+    """A formula's world-0 row on the window of the depth's widest member: equal exactly for equivalent members."""
+    width = depth * m + 1
+    ev = BatchEvaluator(UniformWindowFrame(width, m), ["p"], range(1 << width))
+    return lambda f: (ev.table(f)[0] & ev.valid).tobytes()
+
+
+def _post_hoc_classes(depth, m):
+    """The whole pool, each member's class first and the reach records, found after building the pool.
+
+    Every member is keyed on its row.  Equivalence is a congruence, so a
+    member whose constructor and child classes match an earlier member's
+    takes that member's key without being evaluated.
+    """
+    pool = substitution_pool(depth)
+    key_of_row = _row_key(depth, m)
+    key_of_shape, first_of_key, least = {}, {}, {}
+    keys, firsts, records = {}, [], []
+    for f in pool:
+        kids = children(f)
+        shape = (type(f), *[keys[id(c)] for c in kids]) if kids else f  # a leaf is its own shape
+        key = key_of_shape.get(shape)
+        if key is None:
+            key = key_of_shape[shape] = key_of_row(f)
+        keys[id(f)] = key
+        firsts.append(first_of_key.setdefault(key, f))
+        r = reach(f, m)
+        if r < least.get(key, r + 1):
+            least[key] = r
+            records.append(f)
+    return pool, firsts, records
+
+
 @pytest.mark.parametrize("depth, m, classes", [(1, 1, 6), (1, 3, 6), (2, 1, 16), (2, 2, 19)])
 def test_pool_classes_are_the_equivalence_classes(depth, m, classes):
-    pool = substitution_pool(depth)
-    firsts = pool_class_firsts(pool, m)
-    reps = sorted(set(firsts))
+    reps = pool_classes(depth, m)
     assert len(reps) == classes
-    for i, first in enumerate(firsts):
-        assert first <= i and firsts[first] == first
-        assert _equivalent(pool[i], pool[first], m)
+    pool, firsts, _ = _post_hoc_classes(depth, m)
+    assert reps == list(dict.fromkeys(firsts))
+    for f, first in zip(pool, firsts):
+        assert _equivalent(f, first, m)
     for a, b in product(reps, repeat=2):
-        assert a == b or not _equivalent(pool[a], pool[b], m)
+        assert a is b or not _equivalent(a, b, m)
 
 
 # The (depth, m) at which the pool is classified: its widest window,
@@ -150,33 +185,67 @@ _CLASSIFIED = [(0, m) for m in (1, 2, 5, 20, 40)] + [(1, m) for m in range(1, 20
 
 @pytest.mark.parametrize("depth, m", _CLASSIFIED)
 def test_class_firsts_reach_no_further_and_have_no_more_letters(depth, m):
-    pool = substitution_pool(depth)
-    firsts = pool_class_firsts(pool, m)
-    assert firsts is not None
+    pool, firsts, records = _post_hoc_classes(depth, m)
+    assert pool_classes(depth, m) == records
+    assert records == list(dict.fromkeys(firsts))  # at depth <= 2 the reach records are the class firsts
     for f, first in zip(pool, firsts):
-        assert reach(pool[first], m) <= reach(f, m)
+        assert reach(first, m) <= reach(f, m)
         if not letters_of(f):
-            assert first in (0, 1)
+            assert first in (TRUE, FALSE)
 
 
 def test_class_first_reaching_further_than_a_member_is_not_used():
-    # X p & X !p comes first in its class, false, and reaches one world
-    # further than the later !true.
-    x_p, not_p = Next(p), Not(p)
-    x_not_p = Next(not_p)
-    pool = [p, x_p, not_p, x_not_p, And(x_p, x_not_p), TRUE, Not(TRUE)]
-    assert pool_class_firsts(pool, 1) is None
-    assert pool_class_firsts(pool[:5], 1) == [0, 1, 2, 3, 4]
+    # At depth 3 some class first reaches further than a later member of its
+    # class.  Substituting the first for that member could push an instance
+    # over a cap, so the later member that reaches less far is a record too.
+    m = 2
+    key = _row_key(3, m)
+    first_of_key = {}
+    later = []
+    for f in pool_classes(3, m):
+        first = first_of_key.setdefault(key(f), f)
+        if first is not f:
+            later.append((f, first))
+    assert len(first_of_key) == 112 and len(later) == 2
+    for f, first in later:
+        assert reach(f, m) < reach(first, m)
+        assert _equivalent(f, first, m)
 
 
 def test_pool_too_wide_to_classify_is_searched_whole():
     # p U p reaches m, so its window needs m + 1 valuation bits; (p U p) U p needs 2m + 1.
     for depth, m in [(1, DEFAULT_MAX_ATOMS), (2, DEFAULT_MAX_ATOMS // 2)]:
-        pool = substitution_pool(depth)
-        assert pool_class_firsts(pool, m) is None
+        assert pool_classes(depth, m) is None
         rule = parse_rule("x / x U X x")
         got = search_refuting_substitution(rule, m, depth)
         assert report_to_dict(got) == report_to_dict(_full_search(rule, m, depth))
+
+
+def test_depth_three_is_searched_without_building_the_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the depth-3 pool was built")
+
+    monkeypatch.setattr(admissibility, "substitution_pool", no_pool)
+    for m in (1, 2):
+        report = search_refuting_substitution(parse_rule("x | !x / x | X !x"), m, 3, max_tuples=5_000_000)
+        assert report.status is AdmissibilityStatus.REFUTED
+        assert report.substitution == {"x": p}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_random_depth_three_members_have_a_record_in_their_place(m):
+    rng = random.Random(211 + m)
+    below = substitution_pool(2)
+    key = _row_key(3, m)
+    records = {}
+    for g in pool_classes(3, m):
+        records.setdefault(key(g), []).append(g)
+    for _ in range(2000):
+        build = rng.choice([Not, Next, Until, And])
+        f = build(rng.choice(below)) if build in (Not, Next) else build(rng.choice(below), rng.choice(below))
+        assert any(
+            reach(g, m) <= reach(f, m) and set(letters_of(g)) <= set(letters_of(f)) for g in records[key(f)]
+        ), f
 
 
 # --- refutation search --------------------------------------------------------

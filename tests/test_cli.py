@@ -275,6 +275,12 @@ def test_env_caps_used_when_flags_absent(monkeypatch, capsys):
     assert json.loads(out)["verdict"] == "non_theorem"
 
 
+@pytest.mark.parametrize("name", ["ITL_MAX_ATOMS", "ITL_MAX_WORLDS"])
+def test_a_cap_variable_that_is_not_an_integer_is_named(monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "abc")
+    assert run(capsys, "decide", "--m", "1", "--formula", "p") == (1, "", f"error: {name} must be an integer\n")
+
+
 def test_jobs_flag_keeps_output_identical(capsys):
     base = run(capsys, "refute", "--formula", "G p -> G G p", "--max-worlds", "4", "--max-reach", "3")
     jobs = run(
@@ -517,6 +523,27 @@ def test_json_nested_too_deeply_is_an_error(tmp_path, capsys, monkeypatch, comma
         "verify-stdin": ("verify",),
     }[command]
     assert run(capsys, *argv) == (1, "", "error: the JSON is nested too deeply to read\n")
+
+
+@pytest.mark.parametrize(
+    "command, data, key",
+    [
+        ("verify", {}, "verdict"),
+        ("eval", {**LASSO_MODEL, "frame": {"kind": "lasso", "worlds": 2, "loop": 1}}, "reach"),
+        ("vote", {"valuations": LASSO_MODEL["valuations"]}, "frame"),
+        ("rule-valid", {"frame": {"kind": "uniform", "measure": 1}}, "worlds"),
+        ("verify", {"verdict": "non_theorem", "certificate": LASSO_MODEL}, "target"),
+    ],
+)
+def test_a_missing_json_key_is_named(tmp_path, capsys, command, data, key):
+    path = write_model(tmp_path, "input.json", data)
+    argv = {
+        "verify": ("verify", path),
+        "eval": ("eval", "--formula", "p", "--model", path),
+        "vote": ("vote", "--model", path),
+        "rule-valid": ("rule-valid", "--rule", "p / p", "--frame", path),
+    }[command]
+    assert run(capsys, *argv) == (1, "", f"error: missing key {key!r}\n")
 
 
 def test_vote_and_rule_validity_on_a_huge_uniform_frame_finish_at_once(tmp_path, capsys):
