@@ -77,7 +77,9 @@ def _cmd_uniform(args) -> int:
 
 def _cmd_refute(args) -> int:
     target = parse_rule(args.rule) if args.rule is not None else parse_formula(args.formula)
-    verdict = decide.bounded_nt_refutation(target, args.max_worlds, args.max_reach)
+    verdict = decide.bounded_nt_refutation(
+        target, args.max_worlds, args.max_reach, max_atoms=_cap(args.max_atoms, "ITL_MAX_ATOMS")
+    )
     _emit(decide.verdict_to_dict(verdict))
     return 0
 
@@ -207,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--rule")
     p.add_argument("--max-worlds", type=int, required=True)
     p.add_argument("--max-reach", type=int, required=True)
+    p.add_argument("--max-atoms", type=int, dest="max_atoms")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("rnf", _cmd_rnf, "reduced normal form of a rule")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterator, Mapping, Optional, Union
@@ -159,9 +160,13 @@ def iter_lasso_frames(max_worlds: int, max_reach: int) -> Iterator[FiniteLassoFr
 def iter_lasso_runs(max_worlds: int, max_reach: int) -> Iterator[LassoRun]:
     """The frames of :func:`iter_lasso_frames`, in the same order, as one run per ``(worlds, loop)`` shape."""
     for worlds in range(1, max_worlds + 1):
-        reaches = np.array(list(combinations_with_replacement(range(1, min(max_reach, worlds) + 1), worlds)))
-        for loop in range(worlds):
-            yield LassoRun(worlds, loop, reaches)
+        yield from _lasso_runs(worlds, min(max_reach, worlds))
+
+
+@lru_cache(maxsize=32)  # every search under the same caps walks the same runs
+def _lasso_runs(worlds: int, max_reach: int) -> tuple[LassoRun, ...]:
+    reaches = np.array(list(combinations_with_replacement(range(1, max_reach + 1), worlds)))
+    return tuple(LassoRun(worlds, loop, reaches) for loop in range(worlds))
 
 
 def bounded_nt_refutation(
@@ -169,6 +174,7 @@ def bounded_nt_refutation(
     max_worlds: int,
     max_reach: int,
     *,
+    max_atoms: Optional[int] = None,
     jobs: int = 1,
 ) -> Verdict:
     """Sound countermodel search over finite lasso frames.
@@ -176,15 +182,17 @@ def bounded_nt_refutation(
     Enumerates frames and valuations in a fixed order and returns the first
     countermodel as a NonTheorem certificate.  The frames of one shape are
     scanned together, as a :class:`LassoRun` from :func:`iter_lasso_runs`;
-    its first hit is the hit a frame-by-frame scan would find first.  If no
-    countermodel exists under the caps the result is Inconclusive (never
-    Theorem: the complete size bound of
-    :func:`finite_model_size_bound` is astronomically large).  ``jobs`` is
-    accepted for compatibility and has no effect.
+    its first hit is the hit a frame-by-frame scan would find first.  Frame
+    sizes whose ``n * worlds`` valuation bits exceed ``max_atoms`` are not
+    searched.  If no countermodel exists under the caps the result is
+    Inconclusive (never Theorem: the complete size bound of
+    :func:`finite_model_size_bound` is astronomically large); its caps list
+    ``max_atoms`` only when that cap left sizes out.  ``jobs`` is accepted
+    for compatibility and has no effect.
     """
-    caps = SearchCaps(max_worlds=max_worlds, max_reach=max_reach)
     if max_worlds < 1 or max_reach < 1:
         raise ValueError("search caps must be positive")
+    atom_cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     if isinstance(target, Rule):
         letters = target.letters
         mask = rule_refutation_mask(target)
@@ -193,14 +201,16 @@ def bounded_nt_refutation(
         letters = letters_of(target)
         mask = lambda ev: ~ev.everywhere(target)  # noqa: E731
         failing = target
-    for run in iter_lasso_runs(max_worlds, max_reach):
+    fitting = min(max_worlds, atom_cap // len(letters)) if letters else max_worlds
+    for run in iter_lasso_runs(fitting, max_reach):
         found = scan_valuations(run, letters, mask)
         if found is not None:
             frame = run.frame(found >> (len(letters) * run.worlds))
             model = Model(frame, decode_valuation(found, letters, frame.worlds))
             world = _first_failure_world(model, failing)
             return Verdict(VerdictKind.NON_THEOREM, Countermodel(model, world, target))
-    return Verdict(VerdictKind.INCONCLUSIVE, caps=caps)
+    cut = atom_cap if fitting < max_worlds else None
+    return Verdict(VerdictKind.INCONCLUSIVE, caps=SearchCaps(max_worlds, max_reach, cut))
 
 
 def finite_model_size_bound(n: int, l: int) -> int:

@@ -162,7 +162,7 @@ def rule_refutation_mask(rule: Rule):
     def mask(ev) -> np.ndarray:
         hits = ~ev.everywhere(rule.conclusion)
         for p in rule.premises:
-            hits &= ev.everywhere(p)
+            hits = hits & ev.everywhere(p)  # either side may have one row per frame
         return hits
 
     return mask
@@ -170,7 +170,7 @@ def rule_refutation_mask(rule: Rule):
 
 def _reduced_fail_mask(ev, rnf: normalform.ReducedNormalFormRule) -> np.ndarray:
     count = ev.words * tables.WORD_BITS  # padding included: frames of fewer than 64 valuations fill a word each
-    realized = np.zeros((ev.worlds, count), dtype=np.uint64)
+    realized = np.zeros((ev.worlds, ev.frames, count), dtype=np.uint64)  # atom tables broadcast to every frame
     for j, atom in enumerate(rnf.atom_formulas()):
         realized |= tables.unpack(ev.table(atom), count).astype(np.uint64) << np.uint64(j)
     premise_ok = tables.pack(np.isin(realized, rnf.keys).all(axis=0))

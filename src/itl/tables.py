@@ -16,30 +16,43 @@ its first hit at ``kept[k]``, which keeps the order of codes, so it returns
 the first full-layout code that hits with every unkept bit clear.
 
 :class:`BatchEvaluator` evaluates a formula on every valuation of a
-contiguous block of codes at once.  Its tables are ``(W, words)`` ``uint64``
-arrays holding 64 valuations per word, frame-major along the word axis with
-every frame padded to whole words.  With ``N >= 6`` code ``g`` is bit
-``g % 64`` of global word ``g // 64``, so a frame fills ``2**(N-6)`` words
-and a block's table starts at the global word of its first code.  With
-``N < 6`` each frame is one word whose bit ``c`` holds the frame's valuation
-``c``; its bits ``2**N`` and up are padding and hold unspecified values,
-which whoever reads a table masks with the evaluator's ``valid`` word.
+contiguous block of codes at once.  A block lies inside one frame or holds
+``F`` whole frames, and its tables are ``(W, 1 or F, words)`` ``uint64``
+arrays: per world, one row of packed words per frame, 64 valuations per
+word, every frame padded to whole words.  With ``N >= 6`` a
+frame fills ``2**(N-6)`` words and its valuation ``c`` is bit ``c % 64`` of
+its word ``c // 64``; a block inside one frame holds the words of its codes.
+With ``N < 6`` a frame is one word whose bit ``c`` holds valuation ``c``;
+its bits ``2**N`` and up are padding and hold unspecified values, which
+whoever reads a table masks with the evaluator's ``valid`` word.
+
+The frame axis is materialised only where the frames of a block disagree.
+The frames of a run share their worlds, Next and the path of every window,
+and differ only in how far each world sees, which only Until reads.  So
+letter, True and False tables, and every connective or Next over tables of
+one frame row, keep one frame row, and numpy broadcasting lines them up with
+tables of ``F`` rows.  Until widens its result to ``F`` rows only when some
+step of its walk is gated, that is when the block's frames disagree on the
+reach of the worlds that step starts from.  A hit vector of one frame row
+says the same of every frame of the block, so its first hit lies in the
+block's first frame, and that is also its first hit in frame-major code
+order: a scan returns the same code whether or not a table was widened.
 
 Because blocks start on a word boundary, a letter's row needs no
 per-valuation work: an atom bit ``k < 6`` is the same periodic word
 (``0xAAAA…``, ``0xCCCC…``, …) everywhere, and an atom bit ``k >= 6`` makes
-word ``j`` all ones exactly when bit ``k - 6`` of the global word index is
-set, which repeats the frame's pattern in every frame of a run.  Connectives
-are word operations, and Next is ``t[succ]``, the same for every frame of a
-run.  Until walks the path the run's windows share, ``path(a, s)``, and ORs
-in step ``s`` only where the frame owning the word sees at least ``s`` steps
-from ``a``: it skips the worlds no frame of the block sees that far from (on
-a uniform frame, the rows past the window cutoff, so the gate is constant
-per row) and ANDs a per-frame gate word where the block's frames differ.
-:func:`scan_valuations` drives a full enumeration and returns the first
-code some caller-made predicate flags.  Enumeration order is the plain
-binary order of the codes, frame by frame, which is what makes search
-results reproducible.
+word ``j`` of a frame all ones exactly when bit ``k - 6`` of ``j`` is set.
+So every block of whole frames has the same letter rows, and a scan builds
+them once.  Connectives are word operations, and Next is ``t[succ]``, the
+same for every frame of a run.  Until walks the path the run's windows
+share, ``path(a, s)``, and ORs in step ``s`` only where the frame sees at
+least ``s`` steps from ``a``: it skips the worlds no frame of the block sees
+that far from (on a uniform frame, the rows past the window cutoff, so the
+gate is constant per row) and ANDs a per-frame gate where the block's
+frames differ.  :func:`scan_valuations` drives a full enumeration and
+returns the first code some caller-made predicate flags.  Enumeration order
+is the plain binary order of the codes, frame by frame, which is what makes
+search results reproducible.
 """
 
 from __future__ import annotations
@@ -60,10 +73,13 @@ _LOW_MASKS = tuple(
     np.uint64(sum(1 << b for b in range(WORD_BITS) if (b >> k) & 1)) for k in range(6)
 )
 
+# The valid word of a frame of 2**N < 64 valuations.
+_SHORT_VALID = tuple(np.uint64((1 << (1 << n)) - 1) for n in range(6))
+
 Frames = Union[Frame, LassoRun]
 
 
-@lru_cache(maxsize=64)  # every block of a scan, and every decide of one window size, asks again
+@lru_cache(maxsize=64)  # every scan of a run or of one window size asks again
 def _shape(frame: Frames) -> tuple[np.ndarray, np.ndarray]:
     """Successor of every world, and reach lengths with one row per frame."""
     worlds = frame.worlds
@@ -78,6 +94,31 @@ def _shape(frame: Frames) -> tuple[np.ndarray, np.ndarray]:
     return succ, reaches
 
 
+class _Layout:
+    """What the blocks of one scan share: the kept bits, where each letter's bits sit, and letter rows.
+
+    ``code_bit`` maps a kept full-layout bit to its code bit, and is None
+    when every bit is kept.  ``frame_rows`` caches the letter rows of blocks
+    that start a frame; in one scan those blocks all have the same rows
+    (module docstring), so they are built once per name.
+    """
+
+    def __init__(self, frame: Frames, letters: Sequence[str], kept: Optional[Sequence[int]]):
+        full_bits = len(letters) * frame.worlds
+        if kept is None:
+            self.kept, self.code_bit = range(full_bits), None
+        elif list(kept) != sorted(set(kept)) or (kept and not 0 <= kept[0] <= kept[-1] < full_bits):
+            raise ValueError(f"kept must be increasing bits below {full_bits}")
+        else:
+            self.kept, self.code_bit = kept, dict(zip(kept, range(len(kept))))
+        self.n_bits = len(self.kept)
+        self.shift = min(self.n_bits, 6)  # log2 of the codes one word holds
+        self.valid = _ONES if self.n_bits >= 6 else _SHORT_VALID[self.n_bits]
+        self.position = {name: i for i, name in enumerate(letters)}
+        self.succ, self.reaches = _shape(frame)
+        self.frame_rows: dict[str, np.ndarray] = {}
+
+
 class BatchEvaluator:
     """Packed truth tables for one frame or run and one block of valuation codes.
 
@@ -86,8 +127,10 @@ class BatchEvaluator:
     when None) in the frame-major numbering of the module docstring.  The
     block starts on a word boundary: a multiple of 64, or of the frame's
     ``2**N`` valuations when a frame has fewer than 64.  ``table(f)[a]`` is
-    the packed truth of ``f`` at world ``a``, and ``valid`` the word whose
-    set bits are the valuations rather than padding.
+    the packed truth of ``f`` at world ``a``, one row of ``words`` words for
+    each of the block's ``frames`` frames or a single row that holds for all
+    of them; ``valid`` is the word whose set bits are the valuations rather
+    than padding.
 
     On uniform frames the rows past a formula's window guarantee hold
     unspecified values; callers must only read rows ``a`` with
@@ -98,33 +141,29 @@ class BatchEvaluator:
     def __init__(self, frame: Frames, letters: Sequence[str], indices: range, kept: Optional[Sequence[int]] = None):
         if not isinstance(indices, range) or indices.step != 1:
             raise TypeError("indices must be a contiguous range of valuation codes")
+        # scan_valuations passes the layout of its scan in place of kept
+        layout = kept if isinstance(kept, _Layout) else _Layout(frame, letters, kept)
         self.frame = frame
         self.letters = tuple(letters)
         self.indices = indices
         self.worlds = frame.worlds
-        full_bits = len(self.letters) * self.worlds
-        kept = kept if kept is not None else range(full_bits)  # None keeps every bit
-        if list(kept) != sorted(set(kept)) or (kept and not 0 <= kept[0] <= kept[-1] < full_bits):
-            raise ValueError(f"kept must be increasing bits below {full_bits}")
-        self._code_bit = dict(zip(kept, range(len(kept))))
-        n_bits = len(kept)
-        shift = min(n_bits, 6)  # log2 of the codes one word holds
-        self.valid = _ONES if n_bits >= 6 else np.uint64((1 << (1 << n_bits)) - 1)
+        self.valid = layout.valid
+        self._layout = layout
+        n_bits, shift = layout.n_bits, layout.shift
         if indices.start % (1 << shift):
             raise ValueError(f"a block must start at a multiple of {1 << shift}, not {indices.start}")
-        self._succ, reaches = _shape(frame)
-        if indices.stop > len(reaches) << n_bits:
+        if indices.stop > len(layout.reaches) << n_bits:
             raise ValueError(f"block ends at code {indices.stop}, past the last frame")
-        self.words = -(-len(indices) >> shift)
-        self._pos = {name: i for i, name in enumerate(self.letters)}
-        first_word = indices.start >> shift
-        self._word_index = np.arange(first_word, first_word + self.words, dtype=np.uint64)
         # A block lies inside one frame or holds whole frames; _reach is
         # (worlds, frames in the block, 1), the reach lengths Until gates on.
         lo, hi = indices.start >> n_bits, -(-indices.stop >> n_bits)
         if hi - lo > 1 and (indices.start | indices.stop) & ((1 << n_bits) - 1):
             raise ValueError("a block that spans frames must hold whole frames")
-        self._reach = reaches[lo:hi].T[:, :, None]
+        self.frames = max(hi - lo, 1)
+        self.words = -(-len(indices) >> shift) // self.frames
+        self._first_word = (indices.start & ((1 << n_bits) - 1)) >> shift  # the block's first word in its frame
+        self._succ = layout.succ
+        self._reach = layout.reaches[lo:hi].T[:, :, None]
         self._memo: dict[int, np.ndarray] = {}
         self._pinned: list[Formula] = []  # keeps ids in _memo from being recycled
 
@@ -136,9 +175,9 @@ class BatchEvaluator:
         if isinstance(f, Letter):
             t = self._letter(f.name)
         elif isinstance(f, TrueBool):
-            t = np.full((self.worlds, self.words), _ONES)
+            t = np.full((self.worlds, 1, self.words), _ONES)
         elif isinstance(f, FalseBool):
-            t = np.zeros((self.worlds, self.words), dtype=np.uint64)
+            t = np.zeros((self.worlds, 1, self.words), dtype=np.uint64)
         elif isinstance(f, Not):
             t = ~self.table(f.arg)
         elif isinstance(f, And):
@@ -158,26 +197,36 @@ class BatchEvaluator:
         return t
 
     def everywhere(self, f: Formula) -> np.ndarray:
-        """Packed vector: ``f`` holds at every world."""
+        """Packed vector per frame row: ``f`` holds at every world."""
         return np.bitwise_and.reduce(self.table(f), axis=0)
 
     def _letter(self, name: str) -> np.ndarray:
-        i = self._pos[name]  # missing letter = caller bug: batch letters must cover the formula
-        rows = np.zeros((self.worlds, self.words), dtype=np.uint64)  # false at every unkept bit
-        for a in range(self.worlds):
-            k = self._code_bit.get(i * self.worlds + a)
-            if k is not None:
-                rows[a] = _LOW_MASKS[k] if k < 6 else -((self._word_index >> np.uint64(k - 6)) & np.uint64(1))
+        layout = self._layout
+        cache = layout.frame_rows if self._first_word == 0 else {}
+        rows = cache.get(name)
+        if rows is None:
+            # a missing letter is a caller bug: batch letters must cover the formula
+            first = layout.position[name] * self.worlds
+            rows = np.zeros((self.worlds, 1, self.words), dtype=np.uint64)  # false at every unkept bit
+            word_index = np.arange(self._first_word, self._first_word + self.words, dtype=np.uint64)
+            for a in range(self.worlds):
+                k = first + a if layout.code_bit is None else layout.code_bit.get(first + a)
+                if k is not None:
+                    rows[a] = _LOW_MASKS[k] if k < 6 else -((word_index >> np.uint64(k - 6)) & np.uint64(1))
+            rows.flags.writeable = False  # shared by the blocks of a scan
+            cache[name] = rows
         return rows
 
     @cached_property
-    def _until_steps(self) -> list[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
-        """Per step ``s >= 1``: the worlds some frame sees ``s`` steps from, ``path(a, s)`` there, and the gate.
+    def _until_walk(self) -> tuple[int, list[tuple[slice, np.ndarray, Optional[np.ndarray]]]]:
+        """The frame rows an Until table needs, and per step ``s >= 1`` its worlds, ``path(a, s)`` and gate.
 
-        The worlds are a slice, a prefix on a uniform frame and a suffix on
-        lasso frames, and shrink as ``s`` grows.  The gate holds, per world
-        of the slice and per frame of the block, the word "reach at ``a`` >=
-        ``s``"; it is None where every frame passes, as on a single frame.
+        The worlds of a step are those some frame sees ``s`` steps from: a
+        slice, a prefix on a uniform frame and a suffix on lasso frames, that
+        shrinks as ``s`` grows.  The gate holds, per world of the slice and
+        per frame of the block, the word "reach at ``a`` >= ``s``"; it is None
+        where every frame passes, as on a single frame.  An Until table needs
+        one row per frame when some step is gated, else one row.
         """
         steps = []
         path = np.arange(self.worlds)
@@ -188,16 +237,18 @@ class BatchEvaluator:
             rows = slice(int(active[0]), int(active[-1]) + 1)
             gate = None if sees[rows].all() else np.where(sees[rows], _ONES, np.uint64(0))
             steps.append((rows, path[rows], gate))
-        return steps
+        gated = any(gate is not None for _, _, gate in steps)
+        return (self.frames if gated else 1), steps
 
     def _until(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        res = right.copy()
+        least, steps = self._until_walk
+        frames = max(least, left.shape[1], right.shape[1])
+        res = right.copy() if right.shape[1] == frames else np.repeat(right, frames, axis=1)
         pref = left.copy()
-        for rows, path, gate in self._until_steps:
+        for rows, path, gate in steps:
             step = pref[rows] & right[path]
             if gate is not None:
-                by_frame = step.reshape(gate.shape[:2] + (-1,))  # a view: one row of words per frame
-                by_frame &= gate
+                step = step & gate  # one frame row becomes one per frame of the block
             res[rows] |= step
             pref[rows] &= left[path]
         return res
@@ -213,10 +264,8 @@ def unpack(packed: np.ndarray, count: int) -> np.ndarray:
 
 
 def pack(bits: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`unpack` for one Boolean vector: 64 valuations per word."""
-    words = -(-len(bits) // WORD_BITS)
-    as_bytes = np.packbits(bits, bitorder="little")
-    return np.pad(as_bytes, (0, 8 * words - len(as_bytes))).view("<u8").astype(np.uint64)
+    """Inverse of :func:`unpack` along the last axis, a whole number of words long: 64 valuations per word."""
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
 
 
 def scan_valuations(
@@ -234,9 +283,10 @@ def scan_valuations(
     ``g`` is valuation ``g mod 2**N`` of frame ``g >> N``, ``N`` being
     ``len(letters) * frame.worlds``.  ``fail_mask`` receives a
     :class:`BatchEvaluator` for one block and returns a packed hit vector
-    over its words.  A block holds whole frames up to ``2**chunk_bits``
-    valuations (at least one word, padding counted); a frame larger than
-    that is cut into word-aligned chunks.
+    over its words, one row per frame of the block or one row for all of
+    them.  A block holds whole frames up to ``2**chunk_bits`` valuations (at
+    least one word, padding counted); a frame larger than that is cut into
+    word-aligned chunks.
 
     With ``reads``, bit ``a`` of ``reads[name]`` says the predicate reads
     ``name`` at world ``a``: only those bits are enumerated, every other
@@ -244,21 +294,22 @@ def scan_valuations(
     (module docstring).
     """
     full_bits = len(letters) * frame.worlds
-    kept = range(full_bits) if reads is None else _kept_bits(letters, frame.worlds, reads)
-    n_bits = len(kept)
-    shift = min(n_bits, 6)
-    total = len(_shape(frame)[1]) << n_bits
+    layout = _Layout(frame, letters, None if reads is None else _kept_bits(letters, frame.worlds, reads))
+    n_bits, shift = layout.n_bits, layout.shift
+    total = len(layout.reaches) << n_bits
     step = 1 << (max(chunk_bits, 6) - 6 + shift)
     for start in range(0, total, step):
-        ev = BatchEvaluator(frame, letters, range(start, min(start + step, total)), kept)
-        hits = fail_mask(ev) & ev.valid
+        ev = BatchEvaluator(frame, letters, range(start, min(start + step, total)), layout)
+        hits = np.ravel(fail_mask(ev) & layout.valid)  # frame-major; one row stands for every frame
         nonzero = np.flatnonzero(hits)
         if nonzero.size:
             j = int(nonzero[0])
             word = int(hits[j])
             found = start + (j << shift) + (word & -word).bit_length() - 1
-            deposited = sum(1 << bit for k, bit in enumerate(kept) if found >> k & 1)
-            return (found >> n_bits << full_bits) | deposited
+            code = found & ((1 << n_bits) - 1)
+            if reads is not None:
+                code = sum(1 << bit for k, bit in enumerate(layout.kept) if code >> k & 1)
+            return (found >> n_bits << full_bits) | code
     return None
 
 

@@ -1,8 +1,10 @@
 """CLI surface: output formats, exit codes, determinism, env-var caps."""
 
+import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +298,41 @@ def test_env_atom_cap_applies_to_rnf(monkeypatch, capsys):
     assert code == 1 and "cap" in err
     code, out, _ = run(capsys, "rnf", "--rule", "p U q / p", "--max-atoms", "20")
     assert code == 0 and json.loads(out)["variables"] == 3
+
+
+def test_refute_leaves_out_frame_sizes_over_the_atom_cap(monkeypatch, capsys):
+    # one letter over 40 worlds would be 2^40 valuations a frame; the default
+    # cap of 20 bits stops the search after 20 worlds and says so
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "refute", "--max-worlds", "40", "--max-reach", "1", "--formula", "p | !p")
+    assert time.perf_counter() - start < 30
+    caps = {"max_atoms": 20, "max_reach": 1, "max_worlds": 40}
+    assert (code, json.loads(out)) == (0, {"caps": caps, "certificate": None, "verdict": "inconclusive"})
+    # a search the cap does not cut keeps its caps as they were
+    _, out, _ = run(capsys, "refute", "--max-worlds", "20", "--max-reach", "1", "--formula", "p | !p")
+    assert json.loads(out)["caps"] == {"max_reach": 1, "max_worlds": 20}
+    # p -> X p fails on two worlds, which one letter fills with 2 bits
+    argv = ("refute", "--max-worlds", "3", "--max-reach", "1", "--formula", "p -> X p")
+    monkeypatch.setenv("ITL_MAX_ATOMS", "1")
+    _, out, _ = run(capsys, *argv)
+    caps = {"max_atoms": 1, "max_reach": 1, "max_worlds": 3}
+    assert json.loads(out) == {"caps": caps, "certificate": None, "verdict": "inconclusive"}
+    _, out, _ = run(capsys, *argv, "--max-atoms", "2")  # the flag wins over the environment
+    assert json.loads(out)["certificate"]["frame"]["worlds"] == 2
+
+
+LASSO_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "lasso-sweep.json"
+# Recorded before the table engine gave its tables a frame axis.
+LASSO_POOL_STDOUT_SHA256 = "cbaef7d2d19de2b5ca353ad5ac7537898104fc8d8b3630d9c6f1b2056e12f615"
+
+
+def test_refute_keeps_its_bytes_on_the_lasso_pool(capsys):
+    outs = []
+    for entry in json.loads(LASSO_POOL.read_text())["entries"]:
+        argv = ("refute", "--max-worlds", "6", "--max-reach", "4", f"--{entry['target']}", entry["text"])
+        outs.append(run(capsys, *argv)[1])
+    assert len(outs) == 38
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == LASSO_POOL_STDOUT_SHA256
 
 
 def test_verify_accepts_refute_and_admissible_certificates(tmp_path, capsys):

@@ -359,7 +359,7 @@ def test_batch_tables_match_scalar_eval_on_lassos():
         letters = letters_of(f)
         n_bits = len(letters) * frame.worlds
         ev = BatchEvaluator(frame, letters, range(1 << n_bits))
-        table = unpack(ev.table(f), 1 << n_bits)
+        table = unpack(ev.table(f)[:, 0], 1 << n_bits)  # the frame's one row
         for code in range(1 << n_bits):
             model = Model(frame, decode_valuation(code, letters, frame.worlds))
             for a in range(frame.worlds):
@@ -376,7 +376,7 @@ def test_batch_tables_match_scalar_eval_on_uniform_windows():
         letters = letters_of(f)
         n_bits = len(letters) * width
         ev = BatchEvaluator(frame, letters, range(1 << n_bits))
-        table = unpack(ev.table(f), 1 << n_bits)
+        table = unpack(ev.table(f)[:, 0], 1 << n_bits)  # the frame's one row
         for code in range(1 << n_bits):
             model = Model(frame, decode_valuation(code, letters, width))
             assert table[0, code] == eval_nt(model, 0, f)

@@ -125,18 +125,37 @@ def _random_run(rng):
 
 def test_run_tables_equal_the_tables_of_each_frame():
     rng = random.Random(71)
+    rows_seen = set()
     for _ in range(60):
         run = _random_run(rng)
         f = random_formula(rng, letters=rng.randint(1, 2), depth=3)
         letters = letters_of(f)
-        n_bits = len(letters) * run.worlds
-        per_frame = 1 << n_bits
+        per_frame = 1 << (len(letters) * run.worlds)
         batch = BatchEvaluator(run, letters, range(len(run) * per_frame)).table(f)
-        words = -(-per_frame // 64)  # a frame of fewer than 64 valuations is padded to a word
+        assert batch.shape[1] in (1, len(run)), (run, f)  # one row for every frame, or one per frame
+        rows_seen.add(batch.shape[1] > 1)
+        by_frame = np.broadcast_to(batch, (run.worlds, len(run), batch.shape[2]))
         for i, frame in enumerate(run.frames):
             alone = BatchEvaluator(frame, letters, range(per_frame)).table(f)
-            got = unpack(batch[:, i * words : (i + 1) * words], per_frame)
-            assert (got == unpack(alone, per_frame)).all(), (run, i, f)
+            assert alone.shape[1] == 1
+            assert (unpack(by_frame[:, i], per_frame) == unpack(alone[:, 0], per_frame)).all(), (run, i, f)
+    assert rows_seen == {False, True}  # the sample has widened and frame-free tables
+
+
+def test_only_an_until_the_frames_disagree_on_widens_a_table():
+    # frames 0 and 1 differ only in the last world's reach (1 against 2)
+    run = LassoRun(3, 0, [(1, 1, 1), (1, 1, 2)])
+    ev = BatchEvaluator(run, ("p", "q"), range(len(run) << 6))
+    assert ev.frames == 2 and ev.words == 1
+    for text in ("p", "true", "false", "!p & X q", "X X (p -> q) | !q"):
+        assert ev.table(parse_formula(text)).shape == (3, 1, 1), text
+    # the first step from every world is seen by both frames, the second only from world 2 of frame 1
+    assert ev.table(parse_formula("p U q")).shape == (3, 2, 1)
+    assert ev.table(parse_formula("X (p U q) & p")).shape == (3, 2, 1)
+    # every frame of a one-frame block, and every frame of a run that agrees on reach, keeps one row
+    alike = LassoRun(3, 0, [(1, 1, 1), (1, 1, 1)])
+    assert BatchEvaluator(alike, ("p", "q"), range(128)).table(parse_formula("p U q")).shape == (3, 1, 1)
+    assert BatchEvaluator(run.frame(1), ("p", "q"), range(64)).table(parse_formula("p U q")).shape == (3, 1, 1)
 
 
 @pytest.mark.parametrize("letters", [("p",), ("p", "q"), ("p", "q", "r")])
