@@ -154,6 +154,7 @@ def pool_classes(depth: int, m: int) -> Optional[list[Formula]]:
         if r < least.get(key, r + 1):
             least[key] = r
             return True
+        ev.forget(f)  # candidates grow from records only, so nothing reads this table again
         return False
 
     return _grow(depth, "p", admit)

@@ -6,7 +6,8 @@ Exit status 0 means a verdict was produced (including NonTheorem and
 Inconclusive), 1 a file or parse error or running out of memory, 2 a usage
 error.  Identical invocations produce byte-identical output.  The caps fall
 back to the ``ITL_MAX_ATOMS`` and ``ITL_MAX_WORLDS`` environment variables
-when the corresponding flags are absent.
+when the corresponding flags are absent.  A negative cap is refused: as a
+flag it is a usage error, from the environment an error with status 1.
 """
 
 from __future__ import annotations
@@ -43,7 +44,23 @@ def _emit(obj) -> None:
 
 def _cap(flag_value: Optional[int], env_name: str) -> Optional[int]:
     value = os.environ.get(env_name)
-    return flag_value if flag_value is not None or not value else int_field(value, env_name)
+    if flag_value is not None or not value:
+        return flag_value
+    cap = int_field(value, env_name)
+    if cap < 0:
+        raise ValueError(f"{env_name} must be >= 0, got {cap}")
+    return cap
+
+
+def _cap_flag(text: str) -> int:
+    """Argument type of a cap flag: an integer >= 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {cap}")
+    return cap
 
 
 def _caps_kwargs(args) -> dict:
@@ -199,38 +216,38 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, _cmd_uniform, help_text)
         p.add_argument("--m", type=int, required=True, help="memory length")
         p.add_argument("--formula", required=True)
-        p.add_argument("--max-atoms", type=int, dest="max_atoms")
-        p.add_argument("--max-worlds", type=int, dest="max_worlds_cap")
+        p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
+        p.add_argument("--max-worlds", type=_cap_flag, dest="max_worlds_cap")
         p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("refute", _cmd_refute, "search finite lasso frames for a countermodel")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--rule")
-    p.add_argument("--max-worlds", type=int, required=True)
+    p.add_argument("--max-worlds", type=_cap_flag, required=True)
     p.add_argument("--max-reach", type=int, required=True)
-    p.add_argument("--max-atoms", type=int, dest="max_atoms")
+    p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("rnf", _cmd_rnf, "reduced normal form of a rule")
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-atoms", type=int, dest="max_atoms")
+    p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
 
     p = add("rule-valid", _cmd_rule_valid, "rule validity in a model or over all valuations of a frame")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model")
     group.add_argument("--frame")
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-atoms", type=int, dest="max_atoms")
+    p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("admissible", _cmd_admissible, "screen and bounded refutation search for admissibility")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rule", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--max-tuples", type=int, dest="max_tuples")
-    p.add_argument("--max-atoms", type=int, dest="max_atoms")
-    p.add_argument("--max-worlds", type=int, dest="max_worlds_cap")
+    p.add_argument("--max-tuples", type=_cap_flag, dest="max_tuples")
+    p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
+    p.add_argument("--max-worlds", type=_cap_flag, dest="max_worlds_cap")
 
     p = add("bound", _cmd_bound, "countermodel size bound for a reduced-form rule")
     p.add_argument("--letters", type=int, required=True)

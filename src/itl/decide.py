@@ -10,7 +10,9 @@ the others stay false, which changes no verdict and no certificate, since
 the least failing valuation has them clear anyway.  For the non-uniform logic
 we run a sound bounded refutation search over finite lasso frames: a found
 countermodel is conclusive, absence of one under the caps is not, and is
-reported as Inconclusive rather than as a theorem.
+reported as Inconclusive rather than as a theorem.  The search scans the
+frames of one size together, as one run, and a target without an Until only
+on the all-ones reach vector, since no other node reads reach.
 
 Every negative or satisfiable verdict carries a certificate (model + world +
 target) that :func:`check_certificate` re-evaluates independently.
@@ -24,14 +26,26 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
 from .frames import FiniteLassoFrame, LassoRun, Model, UniformWindowFrame, int_field, model_from_dict, model_to_dict
 from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from .semantics import eval_nt, formula_valid_in_model, rule_refutation_mask
-from .syntax import Formula, Rule, letters_of, parse_formula, parse_rule, print_formula, print_rule, reach, read_set
+from .syntax import (
+    Formula,
+    Rule,
+    Until,
+    children,
+    letters_of,
+    parse_formula,
+    parse_rule,
+    print_formula,
+    print_rule,
+    reach,
+    read_set,
+)
 from .tables import decode_valuation, scan_valuations
 
 
@@ -158,15 +172,28 @@ def iter_lasso_frames(max_worlds: int, max_reach: int) -> Iterator[FiniteLassoFr
 
 
 def iter_lasso_runs(max_worlds: int, max_reach: int) -> Iterator[LassoRun]:
-    """The frames of :func:`iter_lasso_frames`, in the same order, as one run per ``(worlds, loop)`` shape."""
+    """The frames of :func:`iter_lasso_frames`, in the same order, as one run per frame size."""
     for worlds in range(1, max_worlds + 1):
-        yield from _lasso_runs(worlds, min(max_reach, worlds))
+        yield _lasso_run(worlds, min(max_reach, worlds))
 
 
 @lru_cache(maxsize=32)  # every search under the same caps walks the same runs
-def _lasso_runs(worlds: int, max_reach: int) -> tuple[LassoRun, ...]:
+def _lasso_run(worlds: int, max_reach: int) -> LassoRun:
     reaches = np.array(list(combinations_with_replacement(range(1, max_reach + 1), worlds)))
-    return tuple(LassoRun(worlds, loop, reaches) for loop in range(worlds))
+    return LassoRun(worlds, range(worlds), reaches)
+
+
+def _reads_reach(formulas: Iterable[Formula]) -> bool:
+    """Whether an Until occurs in ``formulas``: only Until reads how far a lasso world sees."""
+    stack, seen = list(formulas), set()
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Until):
+            return True
+        if id(g) not in seen:
+            seen.add(id(g))
+            stack.extend(children(g))
+    return False
 
 
 def bounded_nt_refutation(
@@ -180,15 +207,19 @@ def bounded_nt_refutation(
     """Sound countermodel search over finite lasso frames.
 
     Enumerates frames and valuations in a fixed order and returns the first
-    countermodel as a NonTheorem certificate.  The frames of one shape are
+    countermodel as a NonTheorem certificate.  The frames of one size are
     scanned together, as a :class:`LassoRun` from :func:`iter_lasso_runs`;
-    its first hit is the hit a frame-by-frame scan would find first.  Frame
-    sizes whose ``n * worlds`` valuation bits exceed ``max_atoms`` are not
-    searched.  If no countermodel exists under the caps the result is
-    Inconclusive (never Theorem: the complete size bound of
-    :func:`finite_model_size_bound` is astronomically large); its caps list
-    ``max_atoms`` only when that cap left sizes out.  ``jobs`` is accepted
-    for compatibility and has no effect.
+    its first hit is the hit a frame-by-frame scan would find first.  A
+    target without an Until reads no reach length, so it has the same truth
+    on every frame of one ``(worlds, loop)`` shape, and only the all-ones
+    reach vector is searched: it is the first frame of its shape, where a
+    full scan of the shape would find its first hit too.  Frame sizes whose
+    ``n * worlds`` valuation bits exceed ``max_atoms`` are not searched.  If
+    no countermodel exists under the caps the result is Inconclusive (never
+    Theorem: the complete size bound of :func:`finite_model_size_bound` is
+    astronomically large); its caps list ``max_atoms`` only when that cap
+    left sizes out.  ``jobs`` is accepted for compatibility and has no
+    effect.
     """
     if max_worlds < 1 or max_reach < 1:
         raise ValueError("search caps must be positive")
@@ -197,12 +228,15 @@ def bounded_nt_refutation(
         letters = target.letters
         mask = rule_refutation_mask(target)
         failing = target.conclusion
+        formulas = (*target.premises, target.conclusion)
     else:
         letters = letters_of(target)
         mask = lambda ev: ~ev.everywhere(target)  # noqa: E731
         failing = target
+        formulas = (target,)
     fitting = min(max_worlds, atom_cap // len(letters)) if letters else max_worlds
-    for run in iter_lasso_runs(fitting, max_reach):
+    searched_reach = max_reach if _reads_reach(formulas) else 1
+    for run in iter_lasso_runs(fitting, searched_reach):
         found = scan_valuations(run, letters, mask)
         if found is not None:
             frame = run.frame(found >> (len(letters) * run.worlds))

@@ -278,35 +278,32 @@ class ParseError(ValueError):
         self.column = column
 
 
-_NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+# One token after optional blanks: a name, an operator or parenthesis, or
+# any other non-blank character, which is an error.  Blanks that end the
+# text match nothing.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:([a-z][a-zA-Z0-9_]*)|("
+    + "|".join(re.escape(symbol) for symbol in sorted([*_INFIX, *_PREFIX, "(", ")"], key=len, reverse=True))
+    + r")|([^ \t\r\n]))",
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """``(kind, text, column)`` triples; an operator or parenthesis is its own kind."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        col = i + 1
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        name = _NAME_RE.match(text, i)
-        if name:
-            word = name.group()
-            tokens.append((word if word in _CONSTANTS else "name", word, col))
-            i = name.end()
-            continue
-        symbol = "->" if text.startswith("->", i) else ch
-        if symbol in _INFIX or symbol in _PREFIX or symbol in "()":
+    for match in _TOKEN_RE.finditer(text):
+        name, symbol, other = match.groups()
+        col = match.start(match.lastindex) + 1
+        if name is not None:
+            tokens.append((name if name in _CONSTANTS else "name", name, col))
+        elif symbol is not None:
             tokens.append((symbol, symbol, col))
-            i += len(symbol)
-            continue
-        if ch == "-":
+        elif other == "-":
             raise ParseError("expected '->'", col)
-        if ch.isupper():
-            raise ParseError(f"unknown operator token {ch!r}", col)
-        raise ParseError(f"unexpected character {ch!r}", col)
+        elif other.isupper():
+            raise ParseError(f"unknown operator token {other!r}", col)
+        else:
+            raise ParseError(f"unexpected character {other!r}", col)
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
@@ -326,13 +323,16 @@ class _Parser:
     """Precedence climbing over the operator table.
 
     Each method returns a formula together with its tree height, a leaf
-    counting one.
+    counting one.  ``nodes`` holds every node built so far, a letter under
+    its name and any other node under its constructor and its children's
+    ids, so an equal subtree is built once and shared.
     """
 
-    def __init__(self, tokens: list[tuple[str, str, int]]):
+    def __init__(self, tokens: list[tuple[str, str, int]], nodes: dict):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.nodes = nodes
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -351,11 +351,18 @@ class _Parser:
         self.depth -= levels
         return parsed
 
-    @staticmethod
-    def node(f: Formula, height: int, col: int) -> tuple[Formula, int]:
-        """``f`` with its height, unless the tree is too high; ``col`` locates its operator."""
+    def node(self, height: int, col: int, build: Callable[..., Formula], arg: Formula, right=None) -> tuple[Formula, int]:
+        """``build(arg)``, or ``build(arg, right)``, with its height, unless the tree is too high.
+
+        ``col`` locates the operator.  The operands are shared nodes, so
+        their ids stand for their structure in the key.
+        """
         if height > 2 * MAX_NESTING:
             raise ParseError(f"formula tree higher than {2 * MAX_NESTING} levels", col)
+        key = (build, id(arg), id(right))
+        f = self.nodes.get(key)
+        if f is None:
+            f = self.nodes[key] = build(arg) if right is None else build(arg, right)
         return f, height
 
     def infix(self, level: int = 1) -> tuple[Formula, int]:
@@ -371,21 +378,38 @@ class _Parser:
                 right, right_height = self.nested(col, op.cost, self.infix, op.level)
             else:
                 right, right_height = self.infix(op.level + 1)
-            left, height = self.node(op.build(left, right), 1 + max(height, right_height), col)
+            left, height = self.node(1 + max(height, right_height), col, op.build, left, right)
 
     def unary(self) -> tuple[Formula, int]:
-        kind, _, col = self.peek()
+        """Prefix operators, each nesting what follows ``cost`` levels deeper, then an atom."""
+        kind, _, col = self.tokens[self.pos]
         op = _PREFIX.get(kind)
         if op is None:
             return self.atom()
-        self.take()
-        arg, height = self.nested(col, op.cost, self.unary)
-        return self.node(op.build(arg), height + op.cost, col)
+        ops = []
+        depth = self.depth
+        while op is not None:
+            self.pos += 1
+            depth += op.cost
+            if depth > MAX_NESTING:
+                raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", col)
+            ops.append((op, col))
+            kind, _, col = self.tokens[self.pos]
+            op = _PREFIX.get(kind)
+        outer, self.depth = self.depth, depth
+        f, height = self.atom()
+        self.depth = outer
+        for op, col in reversed(ops):
+            f, height = self.node(height + op.cost, col, op.build, f)
+        return f, height
 
     def atom(self) -> tuple[Formula, int]:
         kind, text, col = self.take()
         if kind == "name":
-            return Letter(text), 1
+            f = self.nodes.get(text)
+            if f is None:
+                f = self.nodes[text] = Letter(text)
+            return f, 1
         if kind in _CONSTANTS:
             return _CONSTANTS[kind], 1
         if kind == "(":
@@ -405,9 +429,17 @@ def parse_formula(text: str) -> Formula:
     :data:`MAX_NESTING` levels deep, and the tree, chains of ``&``, ``|``
     and ``U`` included, may be at most ``2 * MAX_NESTING`` nodes high.
     Text past either limit raises :class:`ParseError` at the column of the
-    operator or parenthesis that crosses it.
+    operator or parenthesis that crosses it.  Structurally equal subtrees
+    are one shared object within one parse, so the memos keyed on node ids
+    evaluate each distinct subformula once; printing and ``==`` see no
+    difference.
     """
-    p = _Parser(_tokenize(text))
+    return _parse(text, {})
+
+
+def _parse(text: str, nodes: dict) -> Formula:
+    """:func:`parse_formula` that shares its nodes with every other parse given the same ``nodes``."""
+    p = _Parser(_tokenize(text), nodes)
     f, _ = p.infix()
     kind, tok, col = p.peek()
     if kind != "end":
@@ -416,12 +448,13 @@ def parse_formula(text: str) -> Formula:
 
 
 def parse_rule(text: str) -> Rule:
-    """Parse rule text of the form ``f1, f2, ... / g``."""
+    """Parse rule text of the form ``f1, f2, ... / g``; equal subtrees are shared across all its formulas."""
     if text.count("/") != 1:
         raise ParseError("a rule needs exactly one '/'", text.find("/") + 1 if "/" in text else len(text) + 1)
     prem_text, concl_text = text.split("/")
-    premises = tuple(parse_formula(part) for part in prem_text.split(","))
-    return Rule(premises, parse_formula(concl_text))
+    nodes: dict = {}
+    premises = tuple(_parse(part, nodes) for part in prem_text.split(","))
+    return Rule(premises, _parse(concl_text, nodes))
 
 
 # Kernel class -> (spelling, table entry, infix?).  G and F expand to kernel

@@ -3,7 +3,7 @@
 A valuation over ``n`` letters and ``W`` worlds is encoded as an integer
 code: letter ``i`` is true at world ``a`` in valuation ``v`` iff bit
 ``i*W + a`` of ``v`` is set.  The engine evaluates one frame, or a
-:class:`~itl.frames.LassoRun` of lasso frames of one shape.
+:class:`~itl.frames.LassoRun` of lasso frames of one size.
 
 Inside the engine a valuation is a code over a strictly increasing list
 ``kept`` of these full-layout bits, every bit by default (``range(n*W)``):
@@ -27,29 +27,36 @@ its bits ``2**N`` and up are padding and hold unspecified values, which
 whoever reads a table masks with the evaluator's ``valid`` word.
 
 The frame axis is materialised only where the frames of a block disagree.
-The frames of a run share their worlds, Next and the path of every window,
-and differ only in how far each world sees, which only Until reads.  So
-letter, True and False tables, and every connective or Next over tables of
+The frames of a run share their worlds.  Those with one loop target share
+Next and the path of every window, and differ only in how far each world
+sees, which only Until reads.  The engine keeps one successor row per loop
+target.  Letter, True and False tables, and every connective over tables of
 one frame row, keep one frame row, and numpy broadcasting lines them up with
-tables of ``F`` rows.  Until widens its result to ``F`` rows only when some
-step of its walk is gated, that is when the block's frames disagree on the
-reach of the worlds that step starts from.  A hit vector of one frame row
-says the same of every frame of the block, so its first hit lies in the
-block's first frame, and that is also its first hit in frame-major code
-order: a scan returns the same code whether or not a table was widened.
+tables of ``F`` rows.  On a block whose frames share their loop, Next keeps
+one row too, and Until widens its result to ``F`` rows only when some step
+of its walk is gated, that is when the block's frames disagree on the reach
+of the worlds that step starts from.  On a block that spans loop targets,
+Next and Until follow a path per frame, so they widen to ``F`` rows.  A hit
+vector of one frame row says the same of every frame of the block, so its
+first hit lies in the block's first frame, and that is also its first hit in
+frame-major code order: a scan returns the same code whether or not a table
+was widened.
 
 Because blocks start on a word boundary, a letter's row needs no
 per-valuation work: an atom bit ``k < 6`` is the same periodic word
 (``0xAAAA…``, ``0xCCCC…``, …) everywhere, and an atom bit ``k >= 6`` makes
 word ``j`` of a frame all ones exactly when bit ``k - 6`` of ``j`` is set.
 So every block of whole frames has the same letter rows, and a scan builds
-them once.  Connectives are word operations, and Next is ``t[succ]``, the
-same for every frame of a run.  Until walks the path the run's windows
-share, ``path(a, s)``, and ORs in step ``s`` only where the frame sees at
-least ``s`` steps from ``a``: it skips the worlds no frame of the block sees
-that far from (on a uniform frame, the rows past the window cutoff, so the
-gate is constant per row) and ANDs a per-frame gate where the block's
-frames differ.  :func:`scan_valuations` drives a full enumeration and
+them once.  Connectives are word operations, and Next is ``t[succ]`` on a
+block of one loop target, a gather per frame otherwise.  Until walks the
+window paths, ``path(a, s)``, and ORs in step ``s`` only where the frame sees
+at least ``s`` steps from ``a``: it skips the worlds no frame of the block
+sees that far from (on a uniform frame, the rows past the window cutoff, so
+the gate is constant per row) and ANDs a per-frame gate where the block's
+frames differ.  A block's successors and walk depend only on the frame or
+run and on the block's first and last frame, so they are built once per
+block and kept in a bounded cache that every scan, and every chunk of one
+frame, reads.  :func:`scan_valuations` drives a full enumeration and
 returns the first code some caller-made predicate flags.  Enumeration order
 is the plain binary order of the codes, frame by frame, which is what makes
 search results reproducible.
@@ -81,17 +88,68 @@ Frames = Union[Frame, LassoRun]
 
 @lru_cache(maxsize=64)  # every scan of a run or of one window size asks again
 def _shape(frame: Frames) -> tuple[np.ndarray, np.ndarray]:
-    """Successor of every world, and reach lengths with one row per frame."""
+    """Successor of every world with one row per loop target, and reach lengths with one row per reach vector."""
     worlds = frame.worlds
     if isinstance(frame, UniformWindowFrame):
-        succ = [*range(1, worlds), worlds - 1]  # last row is guard zone
+        succ = [[*range(1, worlds), worlds - 1]]  # last row is guard zone
         reaches = [[min(frame.measure, worlds - 1 - a) for a in range(worlds)]]
     else:
-        succ = [*range(1, worlds), frame.loop]
+        loops = frame.loops if isinstance(frame, LassoRun) else (frame.loop,)
+        succ = [[*range(1, worlds), loop] for loop in loops]
         reaches = frame.reaches if isinstance(frame, LassoRun) else [frame.reach]
     succ, reaches = np.array(succ), np.asarray(reaches)
     succ.flags.writeable = reaches.flags.writeable = False  # shared through the cache
     return succ, reaches
+
+
+class _Block:
+    """What the evaluators of frames ``lo`` to ``hi - 1`` of one frame or run share.
+
+    ``succ`` is Next's successor of every world: one row when the block's
+    frames share their loop target, else a ``(worlds, frames)`` array with a
+    column per frame.  ``reach`` holds the reach lengths Until gates on,
+    ``(worlds, frames, 1)``.
+    """
+
+    def __init__(self, frame: Frames, lo: int, hi: int):
+        succ, reaches = _shape(frame)
+        frames = np.arange(lo, hi)
+        loops = frames // len(reaches)  # a run numbers its frames loop by loop
+        self.shared = bool(loops[0] == loops[-1])
+        self.succ = succ[loops[0]] if self.shared else succ[loops].T
+        self.reach = reaches[frames % len(reaches)].T[:, :, None]
+        self.columns = np.arange(hi - lo)
+
+    @cached_property
+    def until_walk(self) -> tuple[int, list[tuple[slice, np.ndarray, Optional[np.ndarray]]]]:
+        """The frame rows an Until table needs, and per step ``s >= 1`` its worlds, ``path(a, s)`` and gate.
+
+        The worlds of a step are those some frame sees ``s`` steps from: a
+        slice, a prefix on a uniform frame and a suffix on lasso frames, that
+        shrinks as ``s`` grows.  The path has a column per frame where the
+        frames differ in their loop.  The gate holds, per world of the slice
+        and per frame of the block, the word "reach at ``a`` >= ``s``"; it is
+        None where every frame passes, as on a single frame.  An Until table
+        needs one row per frame when its paths or some gate differ between
+        frames, else one row.
+        """
+        worlds, frames = self.reach.shape[:2]
+        steps = []
+        path = np.arange(worlds) if self.shared else np.repeat(np.arange(worlds)[:, None], frames, axis=1)
+        for s in range(1, int(self.reach.max()) + 1):
+            path = self.succ[path] if self.shared else self.succ[path, self.columns]
+            sees = self.reach >= s
+            active = np.flatnonzero(sees.any(axis=(1, 2)))
+            rows = slice(int(active[0]), int(active[-1]) + 1)
+            gate = None if sees[rows].all() else np.where(sees[rows], _ONES, np.uint64(0))
+            steps.append((rows, path[rows], gate))
+        gated = any(gate is not None for _, _, gate in steps)
+        return (1 if self.shared and not gated else frames), steps
+
+
+@lru_cache(maxsize=64)  # every scan of a frame or run, and every chunk of one frame, asks again
+def _block(frame: Frames, lo: int, hi: int) -> _Block:
+    return _Block(frame, lo, hi)
 
 
 class _Layout:
@@ -115,7 +173,8 @@ class _Layout:
         self.shift = min(self.n_bits, 6)  # log2 of the codes one word holds
         self.valid = _ONES if self.n_bits >= 6 else _SHORT_VALID[self.n_bits]
         self.position = {name: i for i, name in enumerate(letters)}
-        self.succ, self.reaches = _shape(frame)
+        succ, reaches = _shape(frame)
+        self.frame_count = len(succ) * len(reaches)
         self.frame_rows: dict[str, np.ndarray] = {}
 
 
@@ -152,18 +211,16 @@ class BatchEvaluator:
         n_bits, shift = layout.n_bits, layout.shift
         if indices.start % (1 << shift):
             raise ValueError(f"a block must start at a multiple of {1 << shift}, not {indices.start}")
-        if indices.stop > len(layout.reaches) << n_bits:
+        if indices.stop > layout.frame_count << n_bits:
             raise ValueError(f"block ends at code {indices.stop}, past the last frame")
-        # A block lies inside one frame or holds whole frames; _reach is
-        # (worlds, frames in the block, 1), the reach lengths Until gates on.
+        # A block lies inside one frame or holds whole frames.
         lo, hi = indices.start >> n_bits, -(-indices.stop >> n_bits)
         if hi - lo > 1 and (indices.start | indices.stop) & ((1 << n_bits) - 1):
             raise ValueError("a block that spans frames must hold whole frames")
         self.frames = max(hi - lo, 1)
         self.words = -(-len(indices) >> shift) // self.frames
         self._first_word = (indices.start & ((1 << n_bits) - 1)) >> shift  # the block's first word in its frame
-        self._succ = layout.succ
-        self._reach = layout.reaches[lo:hi].T[:, :, None]
+        self._block = _block(frame, lo, hi)
         self._memo: dict[int, np.ndarray] = {}
         self._pinned: list[Formula] = []  # keeps ids in _memo from being recycled
 
@@ -187,7 +244,7 @@ class BatchEvaluator:
         elif isinstance(f, Implies):
             t = ~self.table(f.left) | self.table(f.right)
         elif isinstance(f, Next):
-            t = self.table(f.arg)[self._succ]
+            t = self._at(self.table(f.arg), self._block.succ)
         elif isinstance(f, Until):
             t = self._until(self.table(f.left), self.table(f.right))
         else:
@@ -195,6 +252,10 @@ class BatchEvaluator:
         self._memo[key] = t
         self._pinned.append(f)
         return t
+
+    def forget(self, f: Formula) -> None:
+        """Drop the table of ``f``, not those of its subformulas; asking for it again rebuilds it."""
+        self._memo.pop(id(f), None)
 
     def everywhere(self, f: Formula) -> np.ndarray:
         """Packed vector per frame row: ``f`` holds at every world."""
@@ -217,40 +278,25 @@ class BatchEvaluator:
             cache[name] = rows
         return rows
 
-    @cached_property
-    def _until_walk(self) -> tuple[int, list[tuple[slice, np.ndarray, Optional[np.ndarray]]]]:
-        """The frame rows an Until table needs, and per step ``s >= 1`` its worlds, ``path(a, s)`` and gate.
-
-        The worlds of a step are those some frame sees ``s`` steps from: a
-        slice, a prefix on a uniform frame and a suffix on lasso frames, that
-        shrinks as ``s`` grows.  The gate holds, per world of the slice and
-        per frame of the block, the word "reach at ``a`` >= ``s``"; it is None
-        where every frame passes, as on a single frame.  An Until table needs
-        one row per frame when some step is gated, else one row.
-        """
-        steps = []
-        path = np.arange(self.worlds)
-        for s in range(1, int(self._reach.max()) + 1):
-            path = self._succ[path]
-            sees = self._reach >= s
-            active = np.flatnonzero(sees.any(axis=(1, 2)))
-            rows = slice(int(active[0]), int(active[-1]) + 1)
-            gate = None if sees[rows].all() else np.where(sees[rows], _ONES, np.uint64(0))
-            steps.append((rows, path[rows], gate))
-        gated = any(gate is not None for _, _, gate in steps)
-        return (self.frames if gated else 1), steps
+    def _at(self, t: np.ndarray, path: np.ndarray) -> np.ndarray:
+        """Rows of ``t`` at the worlds ``path``: one path for every frame, or a column per frame of the block."""
+        if path.ndim == 1:
+            return t[path]
+        return t[path, self._block.columns] if t.shape[1] > 1 else t[:, 0][path]
 
     def _until(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        least, steps = self._until_walk
+        block = self._block
+        least, steps = block.until_walk
         frames = max(least, left.shape[1], right.shape[1])
         res = right.copy() if right.shape[1] == frames else np.repeat(right, frames, axis=1)
-        pref = left.copy()
+        # per-frame paths give every frame its own prefix
+        pref = left.copy() if block.shared or left.shape[1] == frames else np.repeat(left, frames, axis=1)
         for rows, path, gate in steps:
-            step = pref[rows] & right[path]
+            step = pref[rows] & self._at(right, path)
             if gate is not None:
                 step = step & gate  # one frame row becomes one per frame of the block
             res[rows] |= step
-            pref[rows] &= left[path]
+            pref[rows] &= self._at(left, path)
         return res
 
 
@@ -296,7 +342,7 @@ def scan_valuations(
     full_bits = len(letters) * frame.worlds
     layout = _Layout(frame, letters, None if reads is None else _kept_bits(letters, frame.worlds, reads))
     n_bits, shift = layout.n_bits, layout.shift
-    total = len(layout.reaches) << n_bits
+    total = layout.frame_count << n_bits
     step = 1 << (max(chunk_bits, 6) - 6 + shift)
     for start in range(0, total, step):
         ev = BatchEvaluator(frame, letters, range(start, min(start + step, total)), layout)

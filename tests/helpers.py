@@ -25,8 +25,9 @@ from itl import (
 LETTER_NAMES = ("p", "q", "r")
 
 
-def random_formula(rng: random.Random, letters: int = 2, depth: int = 3, constants: bool = True):
+def random_formula(rng: random.Random, letters: int = 2, depth: int = 3, constants: bool = True, until: bool = True):
     names = LETTER_NAMES[:letters]
+    ops = ("not", "next", "until", "and", "or", "implies") if until else ("not", "next", "and", "or", "implies")
 
     def go(d: int):
         if d == 0 or rng.random() < 0.2:
@@ -36,7 +37,7 @@ def random_formula(rng: random.Random, letters: int = 2, depth: int = 3, constan
             if constants and roll < 0.2:
                 return FALSE
             return Letter(rng.choice(names))
-        op = rng.choice(("not", "next", "until", "and", "or", "implies"))
+        op = rng.choice(ops)
         if op == "not":
             return Not(go(d - 1))
         if op == "next":
@@ -52,11 +53,13 @@ def random_formula(rng: random.Random, letters: int = 2, depth: int = 3, constan
     return go(depth)
 
 
-def random_rule(rng: random.Random, letters: int = 2, depth: int = 3, max_premises: int = 2) -> Rule:
+def random_rule(
+    rng: random.Random, letters: int = 2, depth: int = 3, max_premises: int = 2, until: bool = True
+) -> Rule:
     premises = tuple(
-        random_formula(rng, letters, rng.randint(1, depth)) for _ in range(rng.randint(1, max_premises))
+        random_formula(rng, letters, rng.randint(1, depth), until=until) for _ in range(rng.randint(1, max_premises))
     )
-    return Rule(premises, random_formula(rng, letters, rng.randint(1, depth)))
+    return Rule(premises, random_formula(rng, letters, rng.randint(1, depth), until=until))
 
 
 def random_lasso_frame(rng: random.Random, max_worlds: int = 5, max_reach: int = 3) -> FiniteLassoFrame:

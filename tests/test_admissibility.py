@@ -212,6 +212,21 @@ def test_class_first_reaching_further_than_a_member_is_not_used():
         assert _equivalent(f, first, m)
 
 
+def test_pool_classes_keep_the_tables_of_records_only(monkeypatch):
+    made = []
+
+    class Recorded(BatchEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(admissibility, "BatchEvaluator", Recorded)
+    records = pool_classes(2, 2)
+    (ev,) = made
+    assert len(ev._pinned) > 2 * len(records)  # it built a table for every candidate
+    assert set(ev._memo) == {id(f) for f in records}  # no table of a rejected candidate is kept
+
+
 def test_pool_too_wide_to_classify_is_searched_whole():
     # p U p reaches m, so its window needs m + 1 valuation bits; (p U p) U p needs 2m + 1.
     for depth, m in [(1, DEFAULT_MAX_ATOMS), (2, DEFAULT_MAX_ATOMS // 2)]:

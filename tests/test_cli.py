@@ -283,6 +283,56 @@ def test_a_cap_variable_that_is_not_an_integer_is_named(monkeypatch, capsys, nam
     assert run(capsys, "decide", "--m", "1", "--formula", "p") == (1, "", f"error: {name} must be an integer\n")
 
 
+# Every subcommand that takes a cap, with arguments that are cheap to run.
+_CAPPED = {
+    "decide": ("decide", "--m", "1", "--formula", "p"),
+    "sat": ("sat", "--m", "1", "--formula", "p"),
+    "refute": ("refute", "--max-reach", "1", "--formula", "p"),
+    "rnf": ("rnf", "--rule", "p / q"),
+    "rule-valid": ("rule-valid", "--frame", None, "--rule", "p / p"),
+    "admissible": ("admissible", "--m", "1", "--depth", "1", "--rule", "p / X p"),
+}
+_CAP_FLAGS = {
+    "decide": ("--max-atoms", "--max-worlds"),
+    "sat": ("--max-atoms", "--max-worlds"),
+    "refute": ("--max-atoms", "--max-worlds"),
+    "rnf": ("--max-atoms",),
+    "rule-valid": ("--max-atoms",),
+    "admissible": ("--max-atoms", "--max-worlds", "--max-tuples"),
+}
+_CAP_VARIABLES = {
+    "decide": ("ITL_MAX_ATOMS", "ITL_MAX_WORLDS"),
+    "sat": ("ITL_MAX_ATOMS", "ITL_MAX_WORLDS"),
+    "refute": ("ITL_MAX_ATOMS",),
+    "rnf": ("ITL_MAX_ATOMS",),
+    "rule-valid": ("ITL_MAX_ATOMS",),
+    "admissible": ("ITL_MAX_ATOMS", "ITL_MAX_WORLDS"),
+}
+
+
+def _capped_argv(tmp_path, command, *extra):
+    frame = write_model(tmp_path, "frame.json", {"kind": "lasso", "worlds": 1, "loop": 0, "reach": [1]})
+    argv = [frame if arg is None else arg for arg in _CAPPED[command]] + list(extra)
+    if command == "refute" and "--max-worlds" not in extra:
+        argv += ["--max-worlds", "1"]
+    return argv
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _CAP_FLAGS.items() for f in flags])
+def test_a_negative_cap_flag_is_a_usage_error(tmp_path, capsys, command, flag):
+    code, out, err = run(capsys, *_capped_argv(tmp_path, command, flag, "-1"))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"itl {command}: error: argument {flag}: must be >= 0, got -1"
+    code, out, _ = run(capsys, *_capped_argv(tmp_path, command, flag, "0"))  # zero is a cap like any other
+    assert code in (0, 1) and (code == 0) == bool(out)
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, names in _CAP_VARIABLES.items() for n in names])
+def test_a_negative_cap_variable_is_an_error(tmp_path, monkeypatch, capsys, command, name):
+    monkeypatch.setenv(name, "-2")
+    assert run(capsys, *_capped_argv(tmp_path, command)) == (1, "", f"error: {name} must be >= 0, got -2\n")
+
+
 def test_jobs_flag_keeps_output_identical(capsys):
     base = run(capsys, "refute", "--formula", "G p -> G G p", "--max-worlds", "4", "--max-reach", "3")
     jobs = run(
@@ -333,6 +383,28 @@ def test_refute_keeps_its_bytes_on_the_lasso_pool(capsys):
         outs.append(run(capsys, *argv)[1])
     assert len(outs) == 38
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == LASSO_POOL_STDOUT_SHA256
+
+
+UNIFORM_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "uniform-full.json"
+ADMISSIBLE_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "admissible.json"
+# Recorded before parsing shared equal subtrees and the lasso search ran one scan per frame size.
+UNIFORM_POOL_STDOUT_SHA256 = "22107a8044e5ee55a60d0d16566609b71e1965474f0883e7b81ed4d7a564d477"
+ADMISSIBLE_POOL_STDOUT_SHA256 = "4e00143f0981d6f9fe7aa8c03e35efcdc7f795bcca69791ea0be100c69b96853"
+
+
+def test_decide_and_sat_keep_their_bytes_on_the_uniform_pool(capsys):
+    entries = json.loads(UNIFORM_POOL.read_text())["entries"]
+    outs = [run(capsys, e["op"], "--m", str(e["m"]), "--formula", e["formula"])[1] for e in entries]
+    assert len(outs) == 100
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == UNIFORM_POOL_STDOUT_SHA256
+
+
+def test_admissible_keeps_its_bytes_on_the_admissible_pool(capsys):
+    entries = json.loads(ADMISSIBLE_POOL.read_text())["entries"]
+    argvs = [("admissible", "--m", str(e["m"]), "--rule", e["rule"], "--depth", str(e["depth"])) for e in entries]
+    outs = [run(capsys, *argv)[1] for argv in argvs]
+    assert len(outs) == 48
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == ADMISSIBLE_POOL_STDOUT_SHA256
 
 
 def test_verify_accepts_refute_and_admissible_certificates(tmp_path, capsys):

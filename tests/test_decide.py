@@ -167,7 +167,14 @@ def test_frame_enumeration_order():
 def test_runs_concatenate_to_the_frame_order(caps):
     runs = list(iter_lasso_runs(*caps))
     assert [frame for run in runs for frame in run.frames] == list(iter_lasso_frames(*caps))
-    assert len({(run.worlds, run.loop) for run in runs}) == len(runs)
+    assert [run.worlds for run in runs] == list(range(1, caps[0] + 1))  # one run per frame size
+
+
+def test_a_run_keeps_one_reach_array_for_all_its_loops():
+    run = list(iter_lasso_runs(8, 8))[-1]
+    assert (run.worlds, run.loops, run.reaches.shape) == (8, tuple(range(8)), (6435, 8))  # C(15, 8) vectors
+    assert len(run) == 8 * 6435
+    assert run.frame(6435) == FiniteLassoFrame(8, 1, (1,) * 8)  # the loop of frame i is i // 6435
 
 
 # --- the batched lasso search against a frame-by-frame reference --------------
@@ -189,7 +196,11 @@ def _frame_by_frame_search(target, max_worlds, max_reach):
 
 
 def _assert_same_search(target, max_worlds, max_reach):
-    """The batched search finds the reference's frame, world and code; returns (frame, its index in its run, code)."""
+    """The batched search finds the reference's frame, world and code; returns (frame, its index in its shape, code).
+
+    A frame's shape is its ``(worlds, loop)`` pair, and its index counts the
+    frames of that shape before it in :func:`iter_lasso_frames` order.
+    """
     batched = bounded_nt_refutation(target, max_worlds, max_reach)
     reference, code = _frame_by_frame_search(target, max_worlds, max_reach)
     assert verdict_to_json(batched) == verdict_to_json(reference)
@@ -197,8 +208,8 @@ def _assert_same_search(target, max_worlds, max_reach):
     if code is None:
         return None
     frame = batched.certificate.model.frame
-    run = next(r for r in iter_lasso_runs(max_worlds, max_reach) if (r.worlds, r.loop) == (frame.worlds, frame.loop))
-    return frame, run.frames.index(frame), code
+    shape = [g for g in iter_lasso_frames(max_worlds, max_reach) if (g.worlds, g.loop) == (frame.worlds, frame.loop)]
+    return frame, shape.index(frame), code
 
 
 @pytest.mark.parametrize("caps, count", [((6, 4), 20), ((5, 5), 16), ((3, 2), 40)])
@@ -213,6 +224,41 @@ def test_batched_search_matches_frame_by_frame_scans(caps, count):
             target = random_formula(rng, letters=letters, depth=rng.randint(1, 4))
         outcomes.add(_assert_same_search(target, *caps) is None)
     assert outcomes == {True, False}  # both refutations and exhausted searches
+
+
+@pytest.mark.parametrize("caps", [(4, 3), (5, 2)])
+def test_until_free_search_matches_frame_by_frame_scans_over_all_frames(caps):
+    # an Until-free target is searched on the all-ones reach vector only
+    rng = random.Random(67 + caps[0])
+    outcomes = []
+    for _ in range(60):
+        letters = rng.randint(1, 2)
+        if rng.random() < 0.4:
+            target = random_rule(rng, letters=letters, depth=2, until=False)
+        else:
+            target = random_formula(rng, letters=letters, depth=rng.randint(1, 4), until=False)
+        outcomes.append(_assert_same_search(target, *caps) is None)
+    assert 10 < sum(outcomes) < 50  # both refutations and exhausted searches
+
+
+def test_until_free_target_scans_one_frame_per_shape(monkeypatch):
+    from itl import decide
+
+    scanned = []
+
+    def counting(run, *args, **kwargs):
+        scanned.append(len(run))
+        return scan_valuations(run, *args, **kwargs)
+
+    monkeypatch.setattr(decide, "scan_valuations", counting)
+    f = parse_formula("X p -> (X p | (X q | p))")  # valid on every frame: the search runs to the end
+    verdict = bounded_nt_refutation(f, 8, 4)
+    assert verdict.kind is VerdictKind.INCONCLUSIVE
+    assert verdict.caps == SearchCaps(max_worlds=8, max_reach=4)  # the caps the caller gave
+    assert scanned == list(range(1, 9)) and sum(scanned) == 36  # one frame per (worlds, loop) shape
+    scanned.clear()
+    bounded_nt_refutation(parse_formula("(p U q) | !(p U q)"), 4, 3)
+    assert sum(scanned) == len(list(iter_lasso_frames(4, 3)))  # an Until reads reach: every frame
 
 
 # A hit needs a 6-cycle with p at one world only (so loop 0), and F p two,

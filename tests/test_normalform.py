@@ -277,10 +277,10 @@ def test_reduced_path_reads_the_padded_frame_major_layout():
             ev = BatchEvaluator(run, rendered.letters, range(len(run) << n_bits))
             valid = np.uint64((1 << (1 << n_bits)) - 1) if n_bits < 6 else ~np.uint64(0)
             fast = fast_mask(ev) & valid
-            assert fast.shape == (len(run), ev.words), (text, run.worlds, run.loop)  # a hit row per frame
+            assert fast.shape == (len(run), ev.words), (text, run.worlds)  # a hit row per frame
             generic = ev.everywhere(rendered.premises[0]) & ~ev.everywhere(rendered.conclusion)
             generic = np.broadcast_to(generic & valid, fast.shape)  # a frame-free row holds for every frame
-            assert np.array_equal(fast, generic), (text, run.worlds, run.loop)
+            assert np.array_equal(fast, generic), (text, run.worlds)
             hits += int(np.count_nonzero(generic))
     assert hits
 

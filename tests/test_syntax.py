@@ -33,6 +33,7 @@ from itl import (
     parse_formula,
     parse_rule,
     print_formula,
+    print_rule,
     reach,
     read_set,
     subformulas,
@@ -199,6 +200,67 @@ def formulas(draw, max_depth=5):
 @given(formulas())
 def test_round_trip_property(f):
     assert parse_formula(print_formula(f)) == f
+
+
+def test_equal_subtrees_are_one_node_within_a_parse():
+    f = parse_formula("(p | p) & (p | p)")
+    assert f.left is f.right and f.left.left is f.left.right
+    g = parse_formula("G p & G p")
+    assert g.left is g.right  # G keys on its operand like any constructor
+    rule = parse_rule("p | q, X (p | q) / (p | q) U q")
+    assert rule.premises[1].arg is rule.premises[0] is rule.conclusion.left
+    assert rule.conclusion.right is rule.premises[0].right
+    assert parse_formula("p & q").left is not parse_formula("p & q").left  # nothing is shared between parses
+
+
+def _node_ids(formulas):
+    seen, stack = set(), list(formulas)
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            stack.extend(children(g))
+    return seen
+
+
+@given(st.lists(formulas(), min_size=2, max_size=3))
+def test_parsing_shares_every_repeated_subtree_and_keeps_text_and_equality(fs):
+    text = ", ".join(print_formula(f) for f in fs[:-1]) + " / " + print_formula(fs[-1])
+    rule = parse_rule(text)
+    assert rule == Rule(tuple(fs[:-1]), fs[-1]) and str(rule) == text
+    distinct = {g for f in fs for g in subformulas(f)}
+    assert len(_node_ids((*rule.premises, rule.conclusion))) == len(distinct)
+    f = parse_formula(print_formula(fs[0]))
+    assert f == fs[0] and print_formula(f) == print_formula(fs[0])
+    assert len(_node_ids([f])) == len(subformulas(fs[0]))
+
+
+# formula text from the grammar, G and F included, bracketed in full
+_grammar_text = st.recursive(
+    st.sampled_from(["p", "q", "true", "false"]),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["!", "X ", "G ", "F "]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["&", "|", "U", "->"]), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    ),
+    max_leaves=8,
+)
+
+
+def _unshared(f):
+    """A copy of ``f`` in which no node occurs twice."""
+    kids = children(f)
+    return type(f)(*map(_unshared, kids)) if kids else f
+
+
+@given(_grammar_text, _grammar_text)
+def test_shared_parses_print_and_compare_like_unshared_trees(left, right):
+    for text in (left, f"{left} & {right} | {left}"):
+        f = parse_formula(text)
+        copy = _unshared(f)
+        assert f == copy and print_formula(f) == print_formula(copy)
+    rule = parse_rule(f"{left}, {right} / {left}")
+    assert rule.premises[0] is rule.conclusion
+    assert print_rule(rule) == print_rule(Rule(tuple(map(_unshared, rule.premises)), _unshared(rule.conclusion)))
 
 
 # --- derived operators -----------------------------------------------------

@@ -120,26 +120,54 @@ def _random_run(rng):
     worlds = rng.randint(1, 4)
     cap = min(3, worlds)
     reaches = [sorted(rng.randint(1, cap) for _ in range(worlds)) for _ in range(rng.randint(1, 6))]
-    return LassoRun(worlds, rng.randint(0, worlds - 1), reaches)
+    loops = rng.sample(range(worlds), rng.randint(1, worlds))
+    return LassoRun(worlds, loops, reaches)
+
+
+# Next and Until whose paths wrap through the loop edge
+_WRAPPING = ("X X X p", "X (p U X q)", "(X p) U (X X q)", "!(p U q) & X (q U !p)")
 
 
 def test_run_tables_equal_the_tables_of_each_frame():
     rng = random.Random(71)
-    rows_seen = set()
-    for _ in range(60):
+    rows_seen, spans_seen = set(), 0
+    for i in range(120):
         run = _random_run(rng)
-        f = random_formula(rng, letters=rng.randint(1, 2), depth=3)
-        letters = letters_of(f)
+        f = random_formula(rng, letters=rng.randint(1, 2), depth=3) if i % 3 else parse_formula(rng.choice(_WRAPPING))
+        letters = letters_of(f) or ("p",)
         per_frame = 1 << (len(letters) * run.worlds)
-        batch = BatchEvaluator(run, letters, range(len(run) * per_frame)).table(f)
-        assert batch.shape[1] in (1, len(run)), (run, f)  # one row for every frame, or one per frame
-        rows_seen.add(batch.shape[1] > 1)
-        by_frame = np.broadcast_to(batch, (run.worlds, len(run), batch.shape[2]))
-        for i, frame in enumerate(run.frames):
-            alone = BatchEvaluator(frame, letters, range(per_frame)).table(f)
-            assert alone.shape[1] == 1
-            assert (unpack(by_frame[:, i], per_frame) == unpack(alone[:, 0], per_frame)).all(), (run, i, f)
+        # the whole run, and a block of whole frames from a random first frame
+        lo = rng.randrange(len(run))
+        for first, last in ((0, len(run)), (lo, rng.randint(lo + 1, len(run)))):
+            spans_seen += first // len(run.reaches) != (last - 1) // len(run.reaches)  # a block that spans loops
+            ev = BatchEvaluator(run, letters, range(first * per_frame, last * per_frame))
+            batch = ev.table(f)
+            assert batch.shape[1] in (1, last - first), (run, f)  # one row for every frame, or one per frame
+            rows_seen.add(batch.shape[1] > 1)
+            by_frame = np.broadcast_to(batch, (run.worlds, last - first, batch.shape[2]))
+            for j in range(first, last):
+                alone = BatchEvaluator(run.frame(j), letters, range(per_frame)).table(f)
+                assert alone.shape[1] == 1
+                assert (unpack(by_frame[:, j - first], per_frame) == unpack(alone[:, 0], per_frame)).all(), (run, j, f)
     assert rows_seen == {False, True}  # the sample has widened and frame-free tables
+    assert spans_seen > 20
+
+
+def test_next_widens_only_on_blocks_that_span_loops():
+    run = LassoRun(3, (0, 2), [(1, 1, 1), (1, 1, 2)])  # frames: loop 0 twice, then loop 2 twice
+    f = parse_formula("X X X p")
+    assert BatchEvaluator(run, ("p",), range(0, 16)).table(f).shape == (3, 1, 1)  # loop 0 only
+    assert BatchEvaluator(run, ("p",), range(16, 32)).table(f).shape == (3, 1, 1)  # loop 2 only
+    assert BatchEvaluator(run, ("p",), range(8, 24)).table(f).shape == (3, 2, 1)  # one frame of each loop
+    assert BatchEvaluator(run, ("p",), range(0, 32)).table(parse_formula("p | true & !p")).shape == (3, 1, 1)  # no Next: one row
+
+
+def test_evaluators_of_one_block_share_its_until_walk():
+    run = LassoRun(3, (0, 1), [(1, 1, 1), (1, 1, 2)])
+    first, again = (BatchEvaluator(run, ("p", "q"), range(0, 256)) for _ in range(2))
+    assert first.table(parse_formula("p U q")).shape == (3, 4, 1)
+    assert first._block is again._block and "until_walk" in vars(again._block)  # built once, kept for the block
+    assert BatchEvaluator(run, ("p", "q"), range(0, 128))._block is not first._block
 
 
 def test_only_an_until_the_frames_disagree_on_widens_a_table():
