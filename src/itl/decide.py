@@ -180,7 +180,7 @@ def iter_lasso_runs(max_worlds: int, max_reach: int) -> Iterator[LassoRun]:
 @lru_cache(maxsize=32)  # every search under the same caps walks the same runs
 def _lasso_run(worlds: int, max_reach: int) -> LassoRun:
     reaches = np.array(list(combinations_with_replacement(range(1, max_reach + 1), worlds)))
-    return LassoRun(worlds, range(worlds), reaches)
+    return LassoRun(worlds, reaches)
 
 
 def _reads_reach(formulas: Iterable[Formula]) -> bool:

@@ -105,45 +105,37 @@ class FiniteLassoFrame:
 
 @dataclass(frozen=True, eq=False)
 class LassoRun:
-    """Lasso frames of one size, side by side: ``worlds`` worlds, each loop target with each reach vector.
+    """Every lasso frame of one size, side by side: each loop target with each reach vector.
 
     With ``R = len(reaches)``, frame ``i`` of the run is
-    ``FiniteLassoFrame(worlds, loops[i // R], reaches[i % R])``: loop targets
-    outermost, then reach vectors.  ``loops`` may be given as one loop
-    target.  The frames share their worlds; frames with the same loop share
-    Next and the path of every window, and they differ only in how far each
-    world's window reaches.  ``reaches`` is kept once, as a read-only
-    ``(R, worlds)`` integer array, which the batch engine reads as is.
+    ``FiniteLassoFrame(worlds, i // R, reaches[i % R])``: loop targets
+    ``0 .. worlds - 1`` outermost, then reach vectors.  The frames share
+    their worlds; frames with the same loop share Next and the path of every
+    window, and they differ only in how far each world's window reaches.
+    ``reaches`` is kept once, as a read-only ``(R, worlds)`` integer array,
+    which the batch engine reads as is.
     """
 
     worlds: int
-    loops: tuple[int, ...]
     reaches: np.ndarray
 
     def __post_init__(self) -> None:
-        loops = tuple(int(loop) for loop in np.atleast_1d(self.loops))
         reaches = np.array(self.reaches, dtype=np.int64)
         if self.worlds < 1:
             raise FrameError("a frame needs at least one world")
-        if not loops:
-            raise FrameError("a run needs one or more loop targets")
-        for loop in loops:
-            if not 0 <= loop < self.worlds:
-                raise FrameError(f"loop target {loop} out of range for {self.worlds} worlds")
         if reaches.ndim != 2 or reaches.shape[0] < 1 or reaches.shape[1] != self.worlds:
             raise FrameError(f"a run needs one or more vectors of {self.worlds} reach lengths")
         if (reaches[:, 1:] < reaches[:, :-1]).any() or reaches[:, 0].min() < 1 or reaches[:, -1].max() > self.worlds:
             raise FrameError("reach lengths must lie in 1..worlds and be non-decreasing")
         reaches.flags.writeable = False
-        object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "reaches", reaches)
 
     def __len__(self) -> int:
-        return len(self.loops) * len(self.reaches)
+        return self.worlds * len(self.reaches)
 
     def frame(self, i: int) -> FiniteLassoFrame:
         loop, row = divmod(i, len(self.reaches))
-        return FiniteLassoFrame(self.worlds, self.loops[loop], tuple(int(d) for d in self.reaches[row]))
+        return FiniteLassoFrame(self.worlds, loop, tuple(int(d) for d in self.reaches[row]))
 
     @property
     def frames(self) -> tuple[FiniteLassoFrame, ...]:

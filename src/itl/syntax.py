@@ -381,27 +381,13 @@ class _Parser:
             left, height = self.node(1 + max(height, right_height), col, op.build, left, right)
 
     def unary(self) -> tuple[Formula, int]:
-        """Prefix operators, each nesting what follows ``cost`` levels deeper, then an atom."""
-        kind, _, col = self.tokens[self.pos]
+        kind, _, col = self.peek()
         op = _PREFIX.get(kind)
         if op is None:
             return self.atom()
-        ops = []
-        depth = self.depth
-        while op is not None:
-            self.pos += 1
-            depth += op.cost
-            if depth > MAX_NESTING:
-                raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", col)
-            ops.append((op, col))
-            kind, _, col = self.tokens[self.pos]
-            op = _PREFIX.get(kind)
-        outer, self.depth = self.depth, depth
-        f, height = self.atom()
-        self.depth = outer
-        for op, col in reversed(ops):
-            f, height = self.node(height + op.cost, col, op.build, f)
-        return f, height
+        self.take()
+        arg, height = self.nested(col, op.cost, self.unary)
+        return self.node(height + op.cost, col, op.build, arg)
 
     def atom(self) -> tuple[Formula, int]:
         kind, text, col = self.take()

@@ -54,9 +54,11 @@ at least ``s`` steps from ``a``: it skips the worlds no frame of the block
 sees that far from (on a uniform frame, the rows past the window cutoff, so
 the gate is constant per row) and ANDs a per-frame gate where the block's
 frames differ.  A block's successors and walk depend only on the frame or
-run and on the block's first and last frame, so they are built once per
-block and kept in a bounded cache that every scan, and every chunk of one
-frame, reads.  :func:`scan_valuations` drives a full enumeration and
+run and on the block's first and last frame.  The blocks of one frame are
+asked for again and again, by every chunk of a frame larger than a chunk
+and by every decide on one window size, so they are kept in a bounded
+cache; a block of several frames is read by one scan, and its evaluator
+builds it.  :func:`scan_valuations` drives a full enumeration and
 returns the first code some caller-made predicate flags.  Enumeration order
 is the plain binary order of the codes, frame by frame, which is what makes
 search results reproducible.
@@ -94,7 +96,7 @@ def _shape(frame: Frames) -> tuple[np.ndarray, np.ndarray]:
         succ = [[*range(1, worlds), worlds - 1]]  # last row is guard zone
         reaches = [[min(frame.measure, worlds - 1 - a) for a in range(worlds)]]
     else:
-        loops = frame.loops if isinstance(frame, LassoRun) else (frame.loop,)
+        loops = range(worlds) if isinstance(frame, LassoRun) else (frame.loop,)
         succ = [[*range(1, worlds), loop] for loop in loops]
         reaches = frame.reaches if isinstance(frame, LassoRun) else [frame.reach]
     succ, reaches = np.array(succ), np.asarray(reaches)
@@ -103,7 +105,7 @@ def _shape(frame: Frames) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Block:
-    """What the evaluators of frames ``lo`` to ``hi - 1`` of one frame or run share.
+    """Next's successors and the Until walk of frames ``lo`` to ``hi - 1`` of one frame or run.
 
     ``succ`` is Next's successor of every world: one row when the block's
     frames share their loop target, else a ``(worlds, frames)`` array with a
@@ -134,22 +136,29 @@ class _Block:
         frames, else one row.
         """
         worlds, frames = self.reach.shape[:2]
+        # per world, how far the farthest- and the least-seeing frame of the block see
+        most, least = self.reach.max(axis=1).ravel().tolist(), self.reach.min(axis=1).ravel().tolist()
         steps = []
         path = np.arange(worlds) if self.shared else np.repeat(np.arange(worlds)[:, None], frames, axis=1)
-        for s in range(1, int(self.reach.max()) + 1):
+        for s in range(1, max(most) + 1):
             path = self.succ[path] if self.shared else self.succ[path, self.columns]
-            sees = self.reach >= s
-            active = np.flatnonzero(sees.any(axis=(1, 2)))
-            rows = slice(int(active[0]), int(active[-1]) + 1)
-            gate = None if sees[rows].all() else np.where(sees[rows], _ONES, np.uint64(0))
+            active = [a for a in range(worlds) if most[a] >= s]
+            rows = slice(active[0], active[-1] + 1)
+            seen = all(d >= s for d in least[rows])
+            gate = None if seen else np.where(self.reach[rows] >= s, _ONES, np.uint64(0))
             steps.append((rows, path[rows], gate))
         gated = any(gate is not None for _, _, gate in steps)
         return (1 if self.shared and not gated else frames), steps
 
 
-@lru_cache(maxsize=64)  # every scan of a frame or run, and every chunk of one frame, asks again
 def _block(frame: Frames, lo: int, hi: int) -> _Block:
-    return _Block(frame, lo, hi)
+    """The block of frames ``lo`` to ``hi - 1``: a one-frame block from a bounded cache, a wider one new."""
+    return _frame_block(frame, lo) if hi - lo == 1 else _Block(frame, lo, hi)
+
+
+@lru_cache(maxsize=64)  # every chunk of one frame, and every decide on one window size, asks again
+def _frame_block(frame: Frames, i: int) -> _Block:
+    return _Block(frame, i, i + 1)
 
 
 class _Layout:

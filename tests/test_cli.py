@@ -323,8 +323,39 @@ def test_a_negative_cap_flag_is_a_usage_error(tmp_path, capsys, command, flag):
     code, out, err = run(capsys, *_capped_argv(tmp_path, command, flag, "-1"))
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == f"itl {command}: error: argument {flag}: must be >= 0, got -1"
-    code, out, _ = run(capsys, *_capped_argv(tmp_path, command, flag, "0"))  # zero is a cap like any other
-    assert code in (0, 1) and (code == 0) == bool(out)
+
+
+_INCONCLUSIVE = '{{"caps": {caps}, "certificate": null, "verdict": "inconclusive"}}\n'
+_NO_REFUTATION = (
+    '{{{note}"certificates": [], "pool": {{"depth": 1, "signature": "closure of {{true, false, p}} under !, X, U, &"}}, '
+    '"status": "no_refutation", "substitution": null}}\n'
+)
+# What each subcommand answers with one cap at zero: the flag accepts it, and
+# the subcommand treats it as it always has.
+_AT_ZERO = {
+    ("decide", "--max-atoms"): (0, _INCONCLUSIVE.format(caps='{"max_atoms": 0, "max_worlds": 12}'), ""),
+    ("decide", "--max-worlds"): (0, _INCONCLUSIVE.format(caps='{"max_atoms": 20, "max_worlds": 0}'), ""),
+    ("sat", "--max-atoms"): (0, _INCONCLUSIVE.format(caps='{"max_atoms": 0, "max_worlds": 12}'), ""),
+    ("sat", "--max-worlds"): (0, _INCONCLUSIVE.format(caps='{"max_atoms": 20, "max_worlds": 0}'), ""),
+    ("refute", "--max-atoms"): (0, _INCONCLUSIVE.format(caps='{"max_atoms": 0, "max_reach": 1, "max_worlds": 1}'), ""),
+    ("refute", "--max-worlds"): (1, "", "error: search caps must be positive\n"),
+    ("rnf", "--max-atoms"): (1, "", "error: 2 variables need 6 atoms (cap 0)\n"),
+    ("rule-valid", "--max-atoms"): (1, "", "error: 1 letters over 1 worlds needs 2^1 valuations (cap 2^0)\n"),
+    ("admissible", "--max-atoms"): (0, _NO_REFUTATION.format(note=""), ""),
+    ("admissible", "--max-worlds"): (0, _NO_REFUTATION.format(note=""), ""),
+    ("admissible", "--max-tuples"): (
+        0,
+        _NO_REFUTATION.format(note='"cap_note": "27 substitution tuples exceed the cap of 0", '),
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _CAP_FLAGS.items() for f in flags])
+def test_a_zero_cap_flag_keeps_its_meaning(tmp_path, monkeypatch, capsys, command, flag):
+    for name in ("ITL_MAX_ATOMS", "ITL_MAX_WORLDS"):
+        monkeypatch.delenv(name, raising=False)
+    assert run(capsys, *_capped_argv(tmp_path, command, flag, "0")) == _AT_ZERO[command, flag]
 
 
 @pytest.mark.parametrize("command, name", [(c, n) for c, names in _CAP_VARIABLES.items() for n in names])

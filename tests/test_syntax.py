@@ -1,6 +1,7 @@
 """Parser, printer, derived operators and structural measures."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,7 +39,7 @@ from itl import (
     read_set,
     subformulas,
 )
-from itl.syntax import MAX_NESTING, FalseBool, Formula, TrueBool, children
+from itl.syntax import _CONSTANTS, _INFIX, _PREFIX, MAX_NESTING, FalseBool, Formula, TrueBool, _tokenize, children
 
 from helpers import random_formula
 
@@ -106,6 +107,52 @@ def test_parse_errors_carry_one_based_columns(text, column):
     with pytest.raises(ParseError) as err:
         parse_formula(text)
     assert err.value.column == column
+
+
+_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*")
+
+
+def _tokenize_by_character(text):
+    """The tokenizer as a loop over characters: the reference for the one-regex tokenizer."""
+    tokens, i = [], 0
+    while i < len(text):
+        ch, col = text[i], i + 1
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        name = _NAME.match(text, i)
+        if name:
+            word = name.group()
+            tokens.append((word if word in _CONSTANTS else "name", word, col))
+            i = name.end()
+            continue
+        symbol = "->" if text.startswith("->", i) else ch
+        if symbol in _INFIX or symbol in _PREFIX or symbol in "()":
+            tokens.append((symbol, symbol, col))
+            i += len(symbol)
+            continue
+        if ch == "-":
+            raise ParseError("expected '->'", col)
+        if ch.isupper():
+            raise ParseError(f"unknown operator token {ch!r}", col)
+        raise ParseError(f"unexpected character {ch!r}", col)
+    tokens.append(("end", "", len(text) + 1))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.column
+
+
+def test_the_tokenizer_matches_a_character_loop_token_for_token_and_error_for_error():
+    rng = random.Random(5)
+    pieces = [*"pqxXGFUZ!&|-<>()/,_1é\t\n\r\x0b ", "->", "true", "false", "ab", "p_1"]
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_tokenize_by_character, text), repr(text)
 
 
 @pytest.mark.parametrize(

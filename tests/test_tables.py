@@ -120,8 +120,7 @@ def _random_run(rng):
     worlds = rng.randint(1, 4)
     cap = min(3, worlds)
     reaches = [sorted(rng.randint(1, cap) for _ in range(worlds)) for _ in range(rng.randint(1, 6))]
-    loops = rng.sample(range(worlds), rng.randint(1, worlds))
-    return LassoRun(worlds, loops, reaches)
+    return LassoRun(worlds, reaches)
 
 
 # Next and Until whose paths wrap through the loop edge
@@ -154,26 +153,31 @@ def test_run_tables_equal_the_tables_of_each_frame():
 
 
 def test_next_widens_only_on_blocks_that_span_loops():
-    run = LassoRun(3, (0, 2), [(1, 1, 1), (1, 1, 2)])  # frames: loop 0 twice, then loop 2 twice
+    run = LassoRun(3, [(1, 1, 1), (1, 1, 2)])  # frames: loop 0 twice, then loop 1 twice, then loop 2 twice
     f = parse_formula("X X X p")
     assert BatchEvaluator(run, ("p",), range(0, 16)).table(f).shape == (3, 1, 1)  # loop 0 only
-    assert BatchEvaluator(run, ("p",), range(16, 32)).table(f).shape == (3, 1, 1)  # loop 2 only
-    assert BatchEvaluator(run, ("p",), range(8, 24)).table(f).shape == (3, 2, 1)  # one frame of each loop
-    assert BatchEvaluator(run, ("p",), range(0, 32)).table(parse_formula("p | true & !p")).shape == (3, 1, 1)  # no Next: one row
+    assert BatchEvaluator(run, ("p",), range(32, 48)).table(f).shape == (3, 1, 1)  # loop 2 only
+    assert BatchEvaluator(run, ("p",), range(8, 24)).table(f).shape == (3, 2, 1)  # one frame of loops 0 and 1
+    assert BatchEvaluator(run, ("p",), range(0, 48)).table(parse_formula("p | true & !p")).shape == (3, 1, 1)  # no Next: one row
 
 
-def test_evaluators_of_one_block_share_its_until_walk():
-    run = LassoRun(3, (0, 1), [(1, 1, 1), (1, 1, 2)])
-    first, again = (BatchEvaluator(run, ("p", "q"), range(0, 256)) for _ in range(2))
-    assert first.table(parse_formula("p U q")).shape == (3, 4, 1)
-    assert first._block is again._block and "until_walk" in vars(again._block)  # built once, kept for the block
-    assert BatchEvaluator(run, ("p", "q"), range(0, 128))._block is not first._block
+def test_evaluators_of_one_frame_share_its_until_walk():
+    run = LassoRun(4, [(1, 1, 1, 1), (1, 1, 2, 2)])  # 3 letters: 4096 valuations a frame
+    letters = ("p", "q", "r")
+    first, again = BatchEvaluator(run, letters, range(4096, 6144)), BatchEvaluator(run, letters, range(6144, 8192))
+    assert first.table(parse_formula("p U q")).shape == (4, 1, 32)
+    assert first._block is again._block and "until_walk" in vars(again._block)  # built once, kept for the frame
+    assert BatchEvaluator(run.frame(1), letters, range(0, 2048))._block is not first._block
+    # a block of several frames is read by one scan, so each evaluator builds its own
+    wide, wider = (BatchEvaluator(run, letters, range(0, 8192 * 2)) for _ in range(2))
+    assert wide.table(parse_formula("p U q")).shape == (4, 4, 64)
+    assert wide._block is not wider._block and "until_walk" not in vars(wider._block)
 
 
 def test_only_an_until_the_frames_disagree_on_widens_a_table():
     # frames 0 and 1 differ only in the last world's reach (1 against 2)
-    run = LassoRun(3, 0, [(1, 1, 1), (1, 1, 2)])
-    ev = BatchEvaluator(run, ("p", "q"), range(len(run) << 6))
+    run = LassoRun(3, [(1, 1, 1), (1, 1, 2)])  # frames 0 and 1 have loop 0
+    ev = BatchEvaluator(run, ("p", "q"), range(2 << 6))
     assert ev.frames == 2 and ev.words == 1
     for text in ("p", "true", "false", "!p & X q", "X X (p -> q) | !q"):
         assert ev.table(parse_formula(text)).shape == (3, 1, 1), text
@@ -181,7 +185,7 @@ def test_only_an_until_the_frames_disagree_on_widens_a_table():
     assert ev.table(parse_formula("p U q")).shape == (3, 2, 1)
     assert ev.table(parse_formula("X (p U q) & p")).shape == (3, 2, 1)
     # every frame of a one-frame block, and every frame of a run that agrees on reach, keeps one row
-    alike = LassoRun(3, 0, [(1, 1, 1), (1, 1, 1)])
+    alike = LassoRun(3, [(1, 1, 1), (1, 1, 1)])
     assert BatchEvaluator(alike, ("p", "q"), range(128)).table(parse_formula("p U q")).shape == (3, 1, 1)
     assert BatchEvaluator(run.frame(1), ("p", "q"), range(64)).table(parse_formula("p U q")).shape == (3, 1, 1)
 
@@ -215,7 +219,7 @@ def test_scan_blocks_tile_every_run_in_frame_order(letters):
 def test_run_scan_returns_frame_major_codes():
     # the formula fails only at a world that sees two steps or more, so of
     # these frames, which differ in the last world's reach, frame 0 holds it
-    run = LassoRun(3, 0, [(1, 1, 1), (1, 1, 2), (1, 1, 3)])
+    run = LassoRun(3, [(1, 1, 1), (1, 1, 2), (1, 1, 3)])  # frames 0 to 2 have loop 0
     f = parse_formula("F p -> p | X p")
     mask = lambda ev: ~ev.everywhere(f)  # noqa: E731
     found = scan_valuations(run, ("p",), mask)
@@ -226,20 +230,20 @@ def test_run_scan_returns_frame_major_codes():
 
 def test_malformed_runs_and_blocks_are_rejected():
     with pytest.raises(FrameError):
-        LassoRun(2, 0, [(2, 1)])  # reach shrinks
+        LassoRun(2, [(2, 1)])  # reach shrinks
     with pytest.raises(FrameError):
-        LassoRun(2, 0, [(1, 3)])  # reach past the frame size
+        LassoRun(2, [(1, 3)])  # reach past the frame size
     with pytest.raises(FrameError):
-        LassoRun(2, 2, [(1, 1)])  # loop target out of range
+        LassoRun(2, [])  # no reach vector
     with pytest.raises(FrameError):
-        LassoRun(2, 0, [(1, 1, 1)])
-    run = LassoRun(4, 1, [(1, 1, 1, 1), (1, 1, 2, 2)])  # 2 letters: 256 valuations a frame
+        LassoRun(2, [(1, 1, 1)])
+    run = LassoRun(4, [(1, 1, 1, 1), (1, 1, 2, 2)])  # 2 letters: 256 valuations a frame, 8 frames
     BatchEvaluator(run, ("p", "q"), range(0, 512))
     BatchEvaluator(run, ("p", "q"), range(192, 256))  # a chunk inside one frame
     with pytest.raises(ValueError):
         BatchEvaluator(run, ("p", "q"), range(192, 320))  # spans frames, but not whole ones
     with pytest.raises(ValueError):
-        BatchEvaluator(run, ("p", "q"), range(256, 768))  # past the last frame
+        BatchEvaluator(run, ("p", "q"), range(1792, 2304))  # past the last frame
 
 
 def test_read_masks_scan_only_the_read_bits_and_return_plain_codes():
@@ -258,7 +262,7 @@ def test_read_masks_scan_only_the_read_bits_and_return_plain_codes():
 
 
 def test_read_masks_keep_the_frame_major_numbering_of_a_run():
-    run = LassoRun(3, 0, [(1, 1, 1), (1, 1, 2), (1, 1, 3)])
+    run = LassoRun(3, [(1, 1, 1), (1, 1, 2), (1, 1, 3)])  # frames 0 to 2 have loop 0
     f = parse_formula("F p -> p | X p")
     mask = lambda ev: ~ev.everywhere(f)  # noqa: E731
     found = scan_valuations(run, ("p",), mask)
