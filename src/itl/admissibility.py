@@ -25,10 +25,18 @@ earlier member of their class.  Let ``rr(c)`` be the earliest member of
    later (its children sit earlier in the snapshot), so it is ``C(a, b)``:
    :func:`pool_classes` grows the records from records alone.
 3. At depth <= 2 the records are exactly the class first members.
+4. Members past the world cap never refute.  A member reaching
+   ``max_worlds`` or further makes every instance it enters reach as far,
+   so that premise's or conclusion's verdict is Inconclusive and the tuple
+   refutes nothing; ``T`` is made of records within the cap.  Any superset
+   of those records drawn from the pool and walked in pool order meets
+   ``T`` before any other refuting tuple, since its product order is the
+   pool's restricted to it, so it finds ``T`` too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -36,7 +44,7 @@ from typing import Callable, Mapping, Optional
 
 from .decide import Verdict, VerdictKind, decide_uniform_theorem, verdict_to_dict
 from .frames import UniformWindowFrame
-from .limits import DEFAULT_MAX_ATOMS
+from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS, MAX_PRINTED_DIGITS
 from .syntax import (
     FALSE,
     TRUE,
@@ -56,6 +64,9 @@ from .tables import BatchEvaluator
 Substitution = Mapping[str, Formula]
 
 DEFAULT_MAX_TUPLES = 100_000
+
+# The largest tuple count a cap note prints in full.
+_PRINTABLE = 10**MAX_PRINTED_DIGITS - 1
 
 POOL_SIGNATURE = "closure of {true, false, p} under !, X, U, &"
 
@@ -126,35 +137,61 @@ def pool_size(depth: int) -> int:
     distinct: ``s(0) = 3`` and ``s(k+1) = 3 + 2 s(k) + 2 s(k)**2`` for the
     two of each kind.
     """
+    return _tuple_count(depth, 1, math.inf)
+
+
+def _tuple_count(depth: int, letters: int, limit: float) -> Optional[int]:
+    """``pool_size(depth) ** letters``, or None once that count passes ``limit``.
+
+    The count stops growing there, so a deep pool costs no more than a
+    shallow one; a letterless rule has its one empty tuple at any depth.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if not letters:
+        return 1
     size = 3
     for _ in range(depth):
         size = 3 + len(_UNARY) * size + len(_BINARY) * size * size
-    return size
+        if size > limit:
+            return None
+    count = 1
+    for _ in range(letters):
+        count *= size
+        if count > limit:
+            return None
+    return count
 
 
-def pool_classes(depth: int, m: int) -> Optional[list[Formula]]:
-    """The reach records of ``substitution_pool(depth)`` at memory ``m``, in pool order, or None.
+def pool_classes(depth: int, m: int, max_worlds: Optional[int] = None) -> list[Formula]:
+    """The reach records of ``substitution_pool(depth)`` at memory ``m`` within the world cap, in pool order.
 
-    A candidate grown from records is keyed on its world-0 row over the
-    pool's widest window, ``depth * m + 1`` worlds, and kept when it reaches
-    less far than every record under its key.  None when that window has
-    more than ``DEFAULT_MAX_ATOMS`` valuation bits.
+    A candidate grown from the members kept so far is left out when it
+    reaches ``max_worlds`` or further: it never refutes (module docstring),
+    and reach never shrinks under a constructor, so nothing grown from it
+    would fit either.  The rest are keyed on their world-0 row over the
+    pool's widest window, ``depth * m + 1`` worlds, narrowed to the world
+    cap and to ``DEFAULT_MAX_ATOMS`` valuation bits, and kept when they
+    reach less far than every member under their key.  A candidate reaching
+    past that window, which takes a world cap above ``DEFAULT_MAX_ATOMS``,
+    is kept as a class of its own.
     """
-    width = depth * m + 1  # every level reaches at most m further
-    if width > DEFAULT_MAX_ATOMS:
-        return None
+    world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
+    width = max(1, min(depth * m + 1, world_cap, DEFAULT_MAX_ATOMS))  # a frame has a world even at cap 0
     ev = BatchEvaluator(UniformWindowFrame(width, m), ["p"], range(1 << width))
     least: dict[bytes, int] = {}  # least reach kept under each key
 
     def admit(f: Formula) -> bool:
-        key = (ev.table(f)[0] & ev.valid).tobytes()
         r = reach(f, m)
+        if r >= world_cap:
+            return False
+        if r >= width:
+            return True
+        key = (ev.table(f)[0] & ev.valid).tobytes()
         if r < least.get(key, r + 1):
             least[key] = r
             return True
-        ev.forget(f)  # candidates grow from records only, so nothing reads this table again
+        ev.forget(f)  # candidates grow from kept members only, so nothing reads this table again
         return False
 
     return _grow(depth, "p", admit)
@@ -191,23 +228,23 @@ def search_refuting_substitution(
 
     Premise theoremhood is checked at the given memory length ``m``; an
     Inconclusive premise verdict conservatively disqualifies the tuple, so
-    only fully certified refutations are ever reported.  Tuples run over the
-    reach records of :func:`pool_classes`, or over the whole pool when it
-    returns None; either way the report is the whole pool's, because the
-    whole pool's first refuting tuple is made of records (module
-    docstring).  The tuple cap counts pool tuples.
+    only fully certified refutations are ever reported.  Tuples run over
+    :func:`pool_classes` at the world cap, and the report is the whole
+    pool's, because the whole pool's first refuting tuple is made of records
+    within that cap (module docstring).  The tuple cap counts pool tuples.
     """
     letters = rule.letters
     cap = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
-    total = pool_size(depth) ** len(letters)  # checked before a pool that may never finish is built
-    if total > cap:
+    # Counted before a pool that may never finish is built, and no further than can be printed.
+    total = _tuple_count(depth, len(letters), max(cap, _PRINTABLE))
+    if total is None or total > cap:
+        count = f"at least 10^{MAX_PRINTED_DIGITS}" if total is None else total
         return AdmissibilityReport(
             AdmissibilityStatus.NO_REFUTATION,
             depth=depth,
-            cap_note=f"{total} substitution tuples exceed the cap of {cap}",
+            cap_note=f"{count} substitution tuples exceed the cap of {cap}",
         )
-    classes = pool_classes(depth, m) if letters else ()  # a letterless rule has the one empty tuple, and needs no pool
-    candidates = substitution_pool(depth) if classes is None else classes
+    candidates = pool_classes(depth, m, max_worlds) if letters else ()  # a letterless rule has the one empty tuple
     kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
     for combo in product(candidates, repeat=len(letters)):
         sub = dict(zip(letters, combo))

@@ -33,7 +33,7 @@ from .frames import (
     read_json,
     vote,
 )
-from .limits import ResourceCapError
+from .limits import MAX_PRINTED_DIGITS, ResourceCapError
 from .semantics import eval_nt, rule_valid_in_frame, rule_valid_in_model
 from .syntax import DERIVED_OP_NAMES, KSince, ParseError, parse_formula, parse_rule, print_formula, print_rule
 
@@ -140,18 +140,14 @@ def _cmd_admissible(args) -> int:
     return 0
 
 
-# Python's default limit on the digits of an integer it prints.
-_MAX_PRINTED_DIGITS = 4300
-
-
 def _cmd_bound(args) -> int:
     n, l = args.letters, args.disjuncts
     if n >= 1 and l >= 1:
         # Digits of the leading term nl * l**nl * nl!, estimated before the
         # exact integer is built; nl! alone has over 5700 digits from nl = 2000 on.
         nl = n * l
-        if nl >= 2000 or math.log10(nl * l**nl) + math.lgamma(nl + 1) / math.log(10) > _MAX_PRINTED_DIGITS:
-            raise ValueError(f"the bound has more than {_MAX_PRINTED_DIGITS} digits")
+        if nl >= 2000 or math.log10(nl * l**nl) + math.lgamma(nl + 1) / math.log(10) > MAX_PRINTED_DIGITS:
+            raise ValueError(f"the bound has more than {MAX_PRINTED_DIGITS} digits")
     print(decide.finite_model_size_bound(n, l))
     return 0
 
@@ -225,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula")
     group.add_argument("--rule")
     p.add_argument("--max-worlds", type=_cap_flag, required=True)
-    p.add_argument("--max-reach", type=int, required=True)
+    p.add_argument("--max-reach", type=_cap_flag, required=True)
     p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 

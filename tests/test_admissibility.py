@@ -38,7 +38,7 @@ from itl import (
 from itl import admissibility
 from itl.admissibility import DEFAULT_MAX_TUPLES, pool_classes, report_to_dict
 from itl.frames import UniformWindowFrame
-from itl.limits import DEFAULT_MAX_ATOMS
+from itl.limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from itl.syntax import children
 from itl.tables import BatchEvaluator
 
@@ -106,6 +106,8 @@ def test_pool_size_follows_the_built_pools():
 def test_letterless_rule_needs_no_pool():
     report = search_refuting_substitution(parse_rule("true / X false"), 1, 9)
     assert report.status is AdmissibilityStatus.REFUTED and report.substitution == {}
+    report = search_refuting_substitution(parse_rule("true / X false"), 1, 28, max_tuples=0)
+    assert report.cap_note == "1 substitution tuples exceed the cap of 0"  # its one tuple at any depth
 
 
 def _structural_pool(depth, letter):
@@ -186,7 +188,8 @@ _CLASSIFIED = [(0, m) for m in (1, 2, 5, 20, 40)] + [(1, m) for m in range(1, 20
 @pytest.mark.parametrize("depth, m", _CLASSIFIED)
 def test_class_firsts_reach_no_further_and_have_no_more_letters(depth, m):
     pool, firsts, records = _post_hoc_classes(depth, m)
-    assert pool_classes(depth, m) == records
+    assert pool_classes(depth, m, max_worlds=depth * m + 1) == records  # a world cap that leaves no member out
+    assert pool_classes(depth, m) == [f for f in records if reach(f, m) < DEFAULT_MAX_WORLDS]
     assert records == list(dict.fromkeys(firsts))  # at depth <= 2 the reach records are the class firsts
     for f, first in zip(pool, firsts):
         assert reach(first, m) <= reach(f, m)
@@ -227,10 +230,15 @@ def test_pool_classes_keep_the_tables_of_records_only(monkeypatch):
     assert set(ev._memo) == {id(f) for f in records}  # no table of a rejected candidate is kept
 
 
-def test_pool_too_wide_to_classify_is_searched_whole():
-    # p U p reaches m, so its window needs m + 1 valuation bits; (p U p) U p needs 2m + 1.
+def test_pool_too_wide_to_classify_is_searched_whole(monkeypatch):
+    # p U p reaches m, so its window needs m + 1 valuation bits; (p U p) U p
+    # needs 2m + 1.  The world cap narrows the keyed window, so the search
+    # still walks the classes and never builds the whole pool.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the whole pool was built")
+
+    monkeypatch.setattr(admissibility, "substitution_pool", no_pool)
     for depth, m in [(1, DEFAULT_MAX_ATOMS), (2, DEFAULT_MAX_ATOMS // 2)]:
-        assert pool_classes(depth, m) is None
         rule = parse_rule("x / x U X x")
         got = search_refuting_substitution(rule, m, depth)
         assert report_to_dict(got) == report_to_dict(_full_search(rule, m, depth))
@@ -451,12 +459,23 @@ def test_class_search_reports_what_the_whole_pool_search_reports(monkeypatch, ti
     rng = random.Random(131 if tight else 137)
     # (depth, letters) mixes: a 1-letter rule at depth 2 walks all 1515 pool tuples in the reference
     mixes = [(0, 1), (0, 2)] * 4 + [(1, 1), (1, 2)] * 5 + [(2, 1)] * 3 + [(2, 2)]
-    corpus = [(depth, rng.randint(1, 3), _random_rule(rng, letters)) for depth, letters in mixes]
+    corpus = [(depth, rng.randint(1, 3), _random_rule(rng, letters), {}) for depth, letters in mixes]
     if not tight:
-        corpus += [(depth, m, parse_rule(text)) for depth, m, text in _REFUTED_BY_LETTER_FORMULAS]
+        corpus += [(depth, m, parse_rule(text), {}) for depth, m, text in _REFUTED_BY_LETTER_FORMULAS]
+        # Pools whose widest window, 21 worlds, has more valuation bits than
+        # DEFAULT_MAX_ATOMS: the world cap narrows the keyed window to 12.
+        corpus += [(1, 20, parse_rule(text), {}) for text in ("x | !x / x | X !x", "y | x / X x | (y | y)", "X x / x")]
+        corpus += [(2, 10, parse_rule(text), {}) for text in ("(x -> x) U !x / x -> X x", "X x / x")]
+        # Caps past DEFAULT_MAX_ATOMS: the members reaching 20 have no key on
+        # the 20-world window, so each is kept as a class of its own.
+        wide = {"max_worlds": 22, "max_atoms": 22}
+        past = [f for f in substitution_pool(1) if reach(f, 20) >= 20]
+        assert past and [f for f in pool_classes(1, 20, wide["max_worlds"]) if reach(f, 20) >= 20] == past
+        corpus.append((1, 20, parse_rule("(x -> x) U !x / x -> X x"), wide))
     statuses = set()
-    for depth, m, rule in corpus:
-        caps = {"max_worlds": rng.randint(2, 4), "max_atoms": rng.randint(3, 8)} if tight else {}
+    for depth, m, rule, caps in corpus:
+        if tight:
+            caps = {"max_worlds": rng.randint(2, 4), "max_atoms": rng.randint(3, 8)}
         got = search_refuting_substitution(rule, m, depth, **caps)
         want = _full_search(rule, m, depth, **caps)
         assert json.dumps(report_to_dict(got), sort_keys=True) == json.dumps(report_to_dict(want), sort_keys=True)

@@ -160,6 +160,23 @@ def test_admissible_deep_pool_stops_at_the_cap_without_building_it(capsys, depth
     assert data["cap_note"] == f"{tuples} substitution tuples exceed the cap of 100000"
 
 
+@pytest.mark.parametrize(
+    "depth, rule",
+    [("13", "x / X x"), ("12", "x, y / x & y"), ("26", "x / X x"), ("28", "true / X false")],
+)
+def test_admissible_counts_no_tuples_past_what_can_be_printed(capsys, depth, rule):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "admissible", "--m", "1", "--rule", rule, "--depth", depth)
+    assert time.perf_counter() - start < 1.0
+    data = json.loads(out)
+    assert code == 0 and data["pool"]["depth"] == int(depth)
+    if rule.startswith("true"):  # a letterless rule has one tuple at any depth
+        assert data["status"] == "refuted" and data["substitution"] == {}
+    else:
+        assert data["status"] == "no_refutation"
+        assert data["cap_note"] == "at least 10^4300 substitution tuples exceed the cap of 100000"
+
+
 def test_bound_command(capsys):
     code, out, _ = run(capsys, "bound", "--letters", "2", "--disjuncts", "2")
     assert code == 0 and out == "1552\n"
@@ -295,7 +312,7 @@ _CAPPED = {
 _CAP_FLAGS = {
     "decide": ("--max-atoms", "--max-worlds"),
     "sat": ("--max-atoms", "--max-worlds"),
-    "refute": ("--max-atoms", "--max-worlds"),
+    "refute": ("--max-atoms", "--max-worlds", "--max-reach"),
     "rnf": ("--max-atoms",),
     "rule-valid": ("--max-atoms",),
     "admissible": ("--max-atoms", "--max-worlds", "--max-tuples"),
@@ -339,6 +356,7 @@ _AT_ZERO = {
     ("sat", "--max-worlds"): (0, _INCONCLUSIVE.format(caps='{"max_atoms": 20, "max_worlds": 0}'), ""),
     ("refute", "--max-atoms"): (0, _INCONCLUSIVE.format(caps='{"max_atoms": 0, "max_reach": 1, "max_worlds": 1}'), ""),
     ("refute", "--max-worlds"): (1, "", "error: search caps must be positive\n"),
+    ("refute", "--max-reach"): (1, "", "error: search caps must be positive\n"),
     ("rnf", "--max-atoms"): (1, "", "error: 2 variables need 6 atoms (cap 0)\n"),
     ("rule-valid", "--max-atoms"): (1, "", "error: 1 letters over 1 worlds needs 2^1 valuations (cap 2^0)\n"),
     ("admissible", "--max-atoms"): (0, _NO_REFUTATION.format(note=""), ""),
