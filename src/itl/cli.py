@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import admissibility, decide, knowledge, normalform
+from . import admissibility, decide, knowledge, normalform, syntax
 from .frames import (
     FrameError,
     Model,
@@ -163,9 +163,7 @@ def _cmd_expand(args) -> int:
     else:
         op = op_cls()
     f = parse_formula(args.formula)
-    from .syntax import expand_derived
-
-    print(print_formula(expand_derived(op, [f], m=args.m, k=args.k)))
+    print(print_formula(syntax.expand_derived(op, [f], m=args.m, k=args.k)))
     return 0
 
 

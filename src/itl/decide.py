@@ -37,7 +37,7 @@ from .syntax import (
     Formula,
     Rule,
     Until,
-    children,
+    _post_order,
     letters_of,
     parse_formula,
     parse_rule,
@@ -185,15 +185,7 @@ def _lasso_run(worlds: int, max_reach: int) -> LassoRun:
 
 def _reads_reach(formulas: Iterable[Formula]) -> bool:
     """Whether an Until occurs in ``formulas``: only Until reads how far a lasso world sees."""
-    stack, seen = list(formulas), set()
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Until):
-            return True
-        if id(g) not in seen:
-            seen.add(id(g))
-            stack.extend(children(g))
-    return False
+    return any(isinstance(g, Until) for g in _post_order(formulas))
 
 
 def bounded_nt_refutation(

@@ -137,10 +137,6 @@ class LassoRun:
         loop, row = divmod(i, len(self.reaches))
         return FiniteLassoFrame(self.worlds, loop, tuple(int(d) for d in self.reaches[row]))
 
-    @property
-    def frames(self) -> tuple[FiniteLassoFrame, ...]:
-        return tuple(self.frame(i) for i in range(len(self)))
-
 
 Frame = Union[UniformWindowFrame, FiniteLassoFrame]
 
@@ -227,11 +223,15 @@ def frame_to_dict(frame: Frame) -> dict:
 
 
 def int_field(value, what: str) -> int:
-    """``int(value)`` for a number read from JSON or the environment; a value ``int`` refuses is a FrameError."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise FrameError(f"{what} must be an integer") from None
+    """An integer from JSON (an ``int``, never a ``bool`` or ``float``) or integer text; else a FrameError."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise FrameError(f"{what} must be an integer")
 
 
 def frame_from_dict(data: Mapping) -> Frame:
@@ -257,9 +257,10 @@ def _valuation_from_entry(entry: Mapping) -> tuple[str, Valuation]:
         raise FrameError("a valuation entry must be a JSON object with a \"letters\" object")
     letters = {}
     for name, ws in entry["letters"].items():
-        if not isinstance(ws, list) or any(int_field(a, "a world index") < 0 for a in ws):
+        worlds = frozenset(int_field(a, "a world index") for a in ws) if isinstance(ws, list) else None
+        if worlds is None or any(a < 0 for a in worlds):
             raise FrameError(f"worlds of letter {name!r} must be a list of non-negative indices")
-        letters[name] = frozenset(int(a) for a in ws)
+        letters[name] = worlds
     return str(entry["agent"]), Valuation(letters)
 
 

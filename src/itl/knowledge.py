@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .frames import Model, MultiAgentModel, UniformWindowFrame, vote
-from .semantics import consensus_clause, eval_consensus, eval_nt
+from .semantics import eval_consensus, eval_nt
 from .syntax import DerivedOp, Formula, expand_derived, reach
 
 
@@ -61,9 +61,8 @@ def eval_knowledge(
     reduces to that agent's clause.
     """
     if isinstance(query.operator, KConsensus):
-        if query.agent is not None:
-            return eval_nt(agent_model(model, query.agent), query.world, consensus_clause(query.subject))
-        return eval_consensus(model, query.world, query.subject)
+        selected = model if query.agent is None else agent_model(model, query.agent)
+        return eval_consensus(selected, query.world, query.subject)
     f = expand_derived(query.operator, [query.subject], m=m, k=k)
     return eval_nt(agent_model(model, query.agent), query.world, f)
 

@@ -42,7 +42,7 @@ from .syntax import (
     letters_of,
     subformulas,
 )
-from .tables import BatchEvaluator, unpack
+from .tables import WORD_BITS, BatchEvaluator, pack, unpack
 
 
 def formula_to_rule(f: Formula) -> Rule:
@@ -118,6 +118,15 @@ class ReducedNormalFormRule:
 
     def atom_formulas(self) -> list[Formula]:
         return _atom_formulas(self.variables)
+
+    def fail_mask(self, ev: BatchEvaluator) -> np.ndarray:
+        """Hit vector of ``ev``'s valuations where a disjunct holds at every world and ``x1`` fails at one."""
+        count = ev.words * WORD_BITS  # padding included: frames of fewer than 64 valuations fill a word each
+        realized = np.zeros((ev.worlds, ev.frames, count), dtype=np.uint64)  # atom tables broadcast to every frame
+        for j, atom in enumerate(self.atom_formulas()):
+            realized |= unpack(ev.table(atom), count).astype(np.uint64) << np.uint64(j)
+        premise_ok = pack(np.isin(realized, self.keys).all(axis=0))
+        return premise_ok & ~ev.everywhere(Letter(self.variables[0]))
 
     def to_rule(self) -> Rule:
         """Render the sign table as an actual rule ``eps / x1``.

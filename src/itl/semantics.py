@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import normalform, tables
 from .frames import (
     Frame,
@@ -147,7 +145,7 @@ def _guard_frame_rule(frame: Frame, rule: Rule, max_atoms: Optional[int]) -> int
     return bits
 
 
-def rule_refutation_mask(rule: Rule):
+def rule_refutation_mask(rule: Rule) -> tables.FailMask:
     """Hit-vector builder: valuations where all premises are valid but the conclusion fails.
 
     Rules already in reduced normal form are checked through their sign
@@ -157,24 +155,15 @@ def rule_refutation_mask(rule: Rule):
     """
     rnf = normalform.match_reduced_form(rule)
     if rnf is not None:
-        return lambda ev: _reduced_fail_mask(ev, rnf)
+        return rnf.fail_mask
 
-    def mask(ev) -> np.ndarray:
+    def mask(ev):
         hits = ~ev.everywhere(rule.conclusion)
         for p in rule.premises:
             hits = hits & ev.everywhere(p)  # either side may have one row per frame
         return hits
 
     return mask
-
-
-def _reduced_fail_mask(ev, rnf: normalform.ReducedNormalFormRule) -> np.ndarray:
-    count = ev.words * tables.WORD_BITS  # padding included: frames of fewer than 64 valuations fill a word each
-    realized = np.zeros((ev.worlds, ev.frames, count), dtype=np.uint64)  # atom tables broadcast to every frame
-    for j, atom in enumerate(rnf.atom_formulas()):
-        realized |= tables.unpack(ev.table(atom), count).astype(np.uint64) << np.uint64(j)
-    premise_ok = tables.pack(np.isin(realized, rnf.keys).all(axis=0))
-    return premise_ok & ~ev.everywhere(Letter(rnf.variables[0]))
 
 
 def rule_valid_in_frame(

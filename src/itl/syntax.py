@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class Formula:
@@ -91,21 +91,29 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
+def _post_order(roots: Iterable[Formula]) -> Iterator[Formula]:
+    """Every node under ``roots`` once per object, children left to right before their parent.
+
+    Iterative, so a tree of any height can be walked; a subtree shared by
+    object identity is visited once.
+    """
+    done: set[int] = set()
+    stack = [(f, False) for f in reversed(tuple(roots))]
+    while stack:
+        g, expanded = stack.pop()
+        if id(g) in done:
+            continue
+        if expanded:
+            done.add(id(g))
+            yield g
+        else:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(children(g)))
+
+
 def subformulas(f: Formula) -> list[Formula]:
     """All distinct subtrees of ``f`` in post-order, merged by structural equality."""
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        for child in children(g):
-            walk(child)
-        seen.add(g)
-        out.append(g)
-
-    walk(f)
-    return out
+    return list(dict.fromkeys(_post_order((f,))))
 
 
 def letters_of(f: Formula) -> tuple[str, ...]:
@@ -566,21 +574,10 @@ class KSince(DerivedOp):
     trigger: Formula = TRUE
 
 
-def next_iter(f: Formula, k: int) -> Formula:
+def _iterate(wrap: Callable[[Formula], Formula], f: Formula, k: int) -> Formula:
+    """``wrap`` applied ``k`` times to ``f``."""
     for _ in range(k):
-        f = Next(f)
-    return f
-
-
-def _box_iter(f: Formula, k: int) -> Formula:
-    for _ in range(k):
-        f = box(f)
-    return f
-
-
-def _diamond_iter(f: Formula, k: int) -> Formula:
-    for _ in range(k):
-        f = diamond(f)
+        f = wrap(f)
     return f
 
 
@@ -598,20 +595,13 @@ def _require(value: int | None, fallback: int | None, what: str, minimum: int) -
 def _height(f: Formula) -> int:
     """Tree height, a leaf counting one; iterative, so any height can be measured."""
     heights: dict[int, int] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        pending = [c for c in children(g) if id(c) not in heights]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+    for g in _post_order((f,)):
         heights[id(g)] = 1 + max((heights[id(c)] for c in children(g)), default=0)
     return heights[id(f)]
 
 
 def _k_past(f: Formula, m: int) -> Formula:
-    return Until(f, And(next_iter(Not(f), m + 1), next_iter(f, m)))
+    return Until(f, And(_iterate(Next, Not(f), m + 1), _iterate(Next, f, m)))
 
 
 def expand_derived(
@@ -647,11 +637,11 @@ def _expand(op: DerivedOp, f: Formula, m: int | None, k: int | None) -> Formula:
     if isinstance(op, Diamond):
         return diamond(f)
     if isinstance(op, BoxIter):
-        return _box_iter(f, _require(op.k, k, "iteration count k", 1))
+        return _iterate(box, f, _require(op.k, k, "iteration count k", 1))
     if isinstance(op, DiamondIter):
-        return _diamond_iter(f, _require(op.k, k, "iteration count k", 1))
+        return _iterate(diamond, f, _require(op.k, k, "iteration count k", 1))
     if isinstance(op, NextIter):
-        return next_iter(f, _require(op.k, k, "step count k", 0))
+        return _iterate(Next, f, _require(op.k, k, "step count k", 0))
     if isinstance(op, KPast):
         return _k_past(f, _require(op.m, m, "memory length m", 1))
     if isinstance(op, K1Past):
@@ -661,8 +651,8 @@ def _expand(op: DerivedOp, f: Formula, m: int | None, k: int | None) -> Formula:
         mm = _require(op.m, m, "memory length m", 1)
         kk = _require(op.k, k, "iteration count k", 1)
         return And(
-            _box_iter(Not(f), kk),
-            _diamond_iter(And(Not(f), Next(_k_past(f, mm))), kk),
+            _iterate(box, Not(f), kk),
+            _iterate(diamond, And(Not(f), Next(_k_past(f, mm))), kk),
         )
     if isinstance(op, KDiscovered):
         return Until(f, And(f, Next(Not(f))))

@@ -164,26 +164,24 @@ def _frame_block(frame: Frames, i: int) -> _Block:
 class _Layout:
     """What the blocks of one scan share: the kept bits, where each letter's bits sit, and letter rows.
 
-    ``code_bit`` maps a kept full-layout bit to its code bit, and is None
-    when every bit is kept.  ``frame_rows`` caches the letter rows of blocks
-    that start a frame; in one scan those blocks all have the same rows
-    (module docstring), so they are built once per name.
+    ``kept`` is an increasing list of full-layout bits, as
+    :func:`_kept_bits` builds it, or None for every bit.  ``code_bit`` maps
+    a kept bit to its code bit, and is None when every bit is kept.
+    ``frame_rows`` caches the letter rows of blocks that start a frame; in
+    one scan those blocks all have the same rows (module docstring), so
+    they are built once per name.
     """
 
-    def __init__(self, frame: Frames, letters: Sequence[str], kept: Optional[Sequence[int]]):
-        full_bits = len(letters) * frame.worlds
+    def __init__(self, frame: Frames, letters: Sequence[str], kept: Optional[list[int]] = None):
         if kept is None:
-            self.kept, self.code_bit = range(full_bits), None
-        elif list(kept) != sorted(set(kept)) or (kept and not 0 <= kept[0] <= kept[-1] < full_bits):
-            raise ValueError(f"kept must be increasing bits below {full_bits}")
+            self.kept, self.code_bit = range(len(letters) * frame.worlds), None
         else:
             self.kept, self.code_bit = kept, dict(zip(kept, range(len(kept))))
         self.n_bits = len(self.kept)
         self.shift = min(self.n_bits, 6)  # log2 of the codes one word holds
         self.valid = _ONES if self.n_bits >= 6 else _SHORT_VALID[self.n_bits]
         self.position = {name: i for i, name in enumerate(letters)}
-        succ, reaches = _shape(frame)
-        self.frame_count = len(succ) * len(reaches)
+        self.frame_count = len(frame) if isinstance(frame, LassoRun) else 1
         self.frame_rows: dict[str, np.ndarray] = {}
 
 
@@ -191,8 +189,9 @@ class BatchEvaluator:
     """Packed truth tables for one frame or run and one block of valuation codes.
 
     ``frame`` is a frame or a :class:`~itl.frames.LassoRun`, and ``indices``
-    a contiguous ``range`` of its codes over the bits ``kept`` (every bit
-    when None) in the frame-major numbering of the module docstring.  The
+    a contiguous ``range`` of its codes over the kept bits of ``layout``
+    (every bit when None; :func:`scan_valuations` passes the layout of its
+    scan) in the frame-major numbering of the module docstring.  The
     block starts on a word boundary: a multiple of 64, or of the frame's
     ``2**N`` valuations when a frame has fewer than 64.  ``table(f)[a]`` is
     the packed truth of ``f`` at world ``a``, one row of ``words`` words for
@@ -206,11 +205,10 @@ class BatchEvaluator:
     a frame sized to fit).
     """
 
-    def __init__(self, frame: Frames, letters: Sequence[str], indices: range, kept: Optional[Sequence[int]] = None):
+    def __init__(self, frame: Frames, letters: Sequence[str], indices: range, layout: Optional[_Layout] = None):
         if not isinstance(indices, range) or indices.step != 1:
             raise TypeError("indices must be a contiguous range of valuation codes")
-        # scan_valuations passes the layout of its scan in place of kept
-        layout = kept if isinstance(kept, _Layout) else _Layout(frame, letters, kept)
+        layout = _Layout(frame, letters) if layout is None else layout
         self.frame = frame
         self.letters = tuple(letters)
         self.indices = indices

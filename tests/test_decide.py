@@ -13,6 +13,7 @@ from itl import (
     Model,
     Rule,
     UniformWindowFrame,
+    Until,
     Valuation,
     Verdict,
     VerdictKind,
@@ -32,10 +33,11 @@ from itl import (
     verdict_from_dict,
     verdict_to_dict,
 )
-from itl.decide import SearchCaps, iter_lasso_runs, verdict_to_json
+from itl.decide import SearchCaps, _reads_reach, iter_lasso_runs, verdict_to_json
 from itl.limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from itl.normalform import match_reduced_form
 from itl.semantics import rule_refutation_mask
+from itl.syntax import children
 from itl import tables
 from itl.tables import decode_valuation, scan_valuations
 
@@ -166,7 +168,7 @@ def test_frame_enumeration_order():
 @pytest.mark.parametrize("caps", [(6, 4), (5, 5), (3, 2), (1, 1), (4, 1)])
 def test_runs_concatenate_to_the_frame_order(caps):
     runs = list(iter_lasso_runs(*caps))
-    assert [frame for run in runs for frame in run.frames] == list(iter_lasso_frames(*caps))
+    assert [run.frame(i) for run in runs for i in range(len(run))] == list(iter_lasso_frames(*caps))
     assert [run.worlds for run in runs] == list(range(1, caps[0] + 1))  # one run per frame size
 
 
@@ -195,12 +197,19 @@ def _frame_by_frame_search(target, max_worlds, max_reach):
     return Verdict(VerdictKind.INCONCLUSIVE, caps=SearchCaps(max_worlds=max_worlds, max_reach=max_reach)), None
 
 
+def _has_until(f):
+    """Whether an Until occurs in ``f``, by plain recursion (reference for the search's iterative walk)."""
+    return isinstance(f, Until) or any(map(_has_until, children(f)))
+
+
 def _assert_same_search(target, max_worlds, max_reach):
     """The batched search finds the reference's frame, world and code; returns (frame, its index in its shape, code).
 
     A frame's shape is its ``(worlds, loop)`` pair, and its index counts the
     frames of that shape before it in :func:`iter_lasso_frames` order.
     """
+    formulas = (*target.premises, target.conclusion) if isinstance(target, Rule) else (target,)
+    assert _reads_reach(formulas) == any(map(_has_until, formulas))
     batched = bounded_nt_refutation(target, max_worlds, max_reach)
     reference, code = _frame_by_frame_search(target, max_worlds, max_reach)
     assert verdict_to_json(batched) == verdict_to_json(reference)
@@ -468,8 +477,8 @@ def test_full_large_theorem_evaluates_fewer_rows_than_its_window(monkeypatch):
     rows = []
 
     class Counting(tables.BatchEvaluator):
-        def __init__(self, frame, letters, indices, kept=None):
-            super().__init__(frame, letters, indices, kept)
+        def __init__(self, frame, letters, indices, layout=None):
+            super().__init__(frame, letters, indices, layout)
             rows.append(len(indices))
 
     monkeypatch.setattr(tables, "BatchEvaluator", Counting)

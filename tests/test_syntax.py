@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,7 +40,19 @@ from itl import (
     read_set,
     subformulas,
 )
-from itl.syntax import _CONSTANTS, _INFIX, _PREFIX, MAX_NESTING, FalseBool, Formula, TrueBool, _tokenize, children
+from itl.syntax import (
+    _CONSTANTS,
+    _INFIX,
+    _PREFIX,
+    MAX_NESTING,
+    FalseBool,
+    Formula,
+    TrueBool,
+    _height,
+    _iterate,
+    _tokenize,
+    children,
+)
 
 from helpers import random_formula
 
@@ -332,6 +345,8 @@ def test_expansions_past_the_height_limit_are_refused():
     for _ in range(MAX_NESTING - 1):
         highest = Next(highest)  # prints as X X ... (p & ...): MAX_NESTING levels deep
     assert expand_derived(NextIter(MAX_NESTING - 1), [deep]) == highest
+    taller = sys.getrecursionlimit() + 10
+    assert _height(_iterate(Next, deep, taller)) == MAX_NESTING + 1 + taller  # measured without recursing
     for op, args in [
         (NextIter(MAX_NESTING), [deep]),  # one level too many
         (DiamondIter(10**9), [p]),  # refused before the tree is built
@@ -414,6 +429,11 @@ def test_subformulas_examples():
     assert subformulas(p) == [p]
     assert subformulas(Until(p, q)) == [p, q, Until(p, q)]
     assert subformulas(And(Not(p), Not(p))) == [p, Not(p), And(Not(p), Not(p))]
+    # one shared And node from the parser, two equal ones built by hand: the same post-order
+    shared = parse_formula("(p & q) U (q | (p & q))")
+    distinct = Until(And(p, q), Or(q, And(Letter("p"), Letter("q"))))
+    assert shared.left is shared.right.right and shared == distinct
+    assert subformulas(shared) == subformulas(distinct) == [p, q, And(p, q), Or(q, And(p, q)), shared]
 
 
 def test_letters_first_occurrence_order():

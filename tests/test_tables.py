@@ -212,7 +212,7 @@ def test_scan_blocks_tile_every_run_in_frame_order(letters):
                 assert block.start % (1 << n_bits) == 0 and block.stop % (1 << n_bits) == 0
             covered.extend(i for i in owners if not covered or i > covered[-1])
         assert covered == list(range(len(run)))
-        frames.extend(run.frames)
+        frames.extend(run.frame(i) for i in range(len(run)))
     assert frames == list(iter_lasso_frames(6, 4))
 
 
@@ -268,10 +268,3 @@ def test_read_masks_keep_the_frame_major_numbering_of_a_run():
     found = scan_valuations(run, ("p",), mask)
     # q is never read: three code bits a frame, six full bits a frame
     assert scan_valuations(run, ("p", "q"), mask, reads={"p": 0b111}) == (found >> 3 << 6) | (found & 7)
-
-
-def test_kept_bits_must_increase_inside_the_layout():
-    frame = UniformWindowFrame(4, 3)
-    for bad in ([4, 0], [0, 0], [0, 8]):
-        with pytest.raises(ValueError):
-            BatchEvaluator(frame, ("p", "q"), range(8), bad)
