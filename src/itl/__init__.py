@@ -48,7 +48,7 @@ from .frames import (
     model_to_dict,
     vote,
 )
-from .knowledge import CONSENSUS, KConsensus, KnowledgeQuery, eval_knowledge, voted_pipeline
+from .knowledge import CONSENSUS, KConsensus, KnowledgeQuery, eval_consensus, eval_knowledge, voted_pipeline
 from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS, ResourceCapError
 from .normalform import (
     ReducedNormalFormRule,
@@ -61,7 +61,6 @@ from .semantics import (
     ClassicLassoModel,
     classic_valid_in_model,
     eval_classic,
-    eval_consensus,
     eval_nt,
     formula_valid_in_model,
     rule_valid_in_frame,

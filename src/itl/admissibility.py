@@ -87,14 +87,14 @@ _UNARY = (Not, Next)
 _BINARY = (Until, And)
 
 
-def _grow(depth: int, letter: str, admit: Callable[[Formula], bool]) -> list[Formula]:
+def _grow(depth: int, admit: Callable[[Formula], bool]) -> list[Formula]:
     """The leaves, then per level each unary and each binary constructor over the members so far.
 
     A structurally new candidate becomes a member when ``admit`` accepts it.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    pool = [f for f in (TRUE, FALSE, Letter(letter)) if admit(f)]
+    pool = [f for f in (TRUE, FALSE, Letter("p")) if admit(f)]
     # Members are structurally distinct and built from members, so two
     # candidates are equal exactly when their constructors and child
     # identities are: no recursive hashing of the trees.
@@ -120,13 +120,13 @@ def _grow(depth: int, letter: str, admit: Callable[[Formula], bool]) -> list[For
     return pool
 
 
-def substitution_pool(depth: int, letter: str = "p") -> list[Formula]:
-    """All formulas over {true, false, letter} closed under !, X, U, & up to ``depth``.
+def substitution_pool(depth: int) -> list[Formula]:
+    """All formulas over {true, false, p} closed under !, X, U, & up to ``depth``.
 
     Deduplicated structurally; deterministic order (generation order by
     level).  Every child of a member is an earlier member.
     """
-    return _grow(depth, letter, lambda f: True)
+    return _grow(depth, lambda f: True)
 
 
 def pool_size(depth: int) -> int:
@@ -194,14 +194,13 @@ def pool_classes(depth: int, m: int, max_worlds: Optional[int] = None) -> list[F
         ev.forget(f)  # candidates grow from kept members only, so nothing reads this table again
         return False
 
-    return _grow(depth, "p", admit)
+    return _grow(depth, admit)
 
 
 class AdmissibilityStatus(Enum):
     REFUTED = "refuted"
     NO_REFUTATION = "no_refutation"
     ADMISSIBLE_SCREEN = "admissible_screen"
-    DEFERRED = "deferred"
 
 
 @dataclass(frozen=True)
@@ -272,13 +271,13 @@ def admissibility_consequences_check(
     *,
     max_atoms: Optional[int] = None,
     max_worlds: Optional[int] = None,
-) -> AdmissibilityReport:
+) -> Optional[AdmissibilityReport]:
     """Fast screens that settle admissibility without a substitution search.
 
     A theorem conclusion makes every instance's conclusion a theorem; a
     premise whose negation is a theorem has no theorem instances at all, so
-    the rule is vacuously admissible.  Anything else is deferred to
-    :func:`search_refuting_substitution`.
+    the rule is vacuously admissible.  Anything else returns None and is left
+    to :func:`search_refuting_substitution`.
     """
     kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
     cv = decide_uniform_theorem(rule.conclusion, m, **kwargs)
@@ -288,7 +287,7 @@ def admissibility_consequences_check(
         nv = decide_uniform_theorem(Not(p), m, **kwargs)
         if nv.kind is VerdictKind.THEOREM:
             return AdmissibilityReport(AdmissibilityStatus.ADMISSIBLE_SCREEN, reason="premise_unsatisfiable")
-    return AdmissibilityReport(AdmissibilityStatus.DEFERRED)
+    return None
 
 
 def decide_admissible(
@@ -302,9 +301,7 @@ def decide_admissible(
 ) -> AdmissibilityReport:
     """Screens first, bounded refutation search otherwise."""
     screen = admissibility_consequences_check(rule, m, max_atoms=max_atoms, max_worlds=max_worlds)
-    if screen.status is not AdmissibilityStatus.DEFERRED:
-        return screen
-    return search_refuting_substitution(
+    return screen or search_refuting_substitution(
         rule, m, depth, max_tuples=max_tuples, max_atoms=max_atoms, max_worlds=max_worlds
     )
 

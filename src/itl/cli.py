@@ -35,7 +35,7 @@ from .frames import (
 )
 from .limits import MAX_PRINTED_DIGITS, ResourceCapError
 from .semantics import eval_nt, rule_valid_in_frame, rule_valid_in_model
-from .syntax import DERIVED_OP_NAMES, KSince, ParseError, parse_formula, parse_rule, print_formula, print_rule
+from .syntax import DERIVED_OP_NAMES, KSince, parse_formula, parse_rule, print_formula, print_rule
 
 
 def _emit(obj) -> None:
@@ -182,9 +182,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_JOBS_HELP = "accepted for compatibility; has no effect"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="itl", description="Temporal logic with bounded-memory time windows.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--formula", required=True)
         p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
         p.add_argument("--max-worlds", type=_cap_flag, dest="max_worlds_cap")
-        p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p = add("refute", _cmd_refute, "search finite lasso frames for a countermodel")
     group = p.add_mutually_exclusive_group(required=True)
@@ -221,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=_cap_flag, required=True)
     p.add_argument("--max-reach", type=_cap_flag, required=True)
     p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("rnf", _cmd_rnf, "reduced normal form of a rule")
     p.add_argument("--rule", required=True)
@@ -233,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--frame")
     p.add_argument("--rule", required=True)
     p.add_argument("--max-atoms", type=_cap_flag, dest="max_atoms")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = add("admissible", _cmd_admissible, "screen and bounded refutation search for admissibility")
     p.add_argument("--m", type=int, required=True)
@@ -263,17 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USER_ERRORS = (
-    ParseError,
-    FrameError,
-    WindowOverflowError,
-    ResourceCapError,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-    MemoryError,
-)
+# ParseError, FrameError and json.JSONDecodeError are ValueErrors.
+_USER_ERRORS = (WindowOverflowError, ResourceCapError, ValueError, KeyError, OSError, MemoryError)
 
 
 @functools.cache

@@ -194,7 +194,6 @@ def bounded_nt_refutation(
     max_reach: int,
     *,
     max_atoms: Optional[int] = None,
-    jobs: int = 1,
 ) -> Verdict:
     """Sound countermodel search over finite lasso frames.
 
@@ -210,8 +209,7 @@ def bounded_nt_refutation(
     no countermodel exists under the caps the result is Inconclusive (never
     Theorem: the complete size bound of :func:`finite_model_size_bound` is
     astronomically large); its caps list ``max_atoms`` only when that cap
-    left sizes out.  ``jobs`` is accepted for compatibility and has no
-    effect.
+    left sizes out.
     """
     if max_worlds < 1 or max_reach < 1:
         raise ValueError("search caps must be positive")
@@ -310,7 +308,14 @@ def _caps_from_dict(data) -> SearchCaps:
     unknown = sorted(set(data) - {f.name for f in fields(SearchCaps)})
     if unknown:
         raise ValueError(f"unknown caps keys: {', '.join(unknown)}")
-    return SearchCaps(**data)
+    caps = {}
+    for key, value in data.items():
+        if value is not None:
+            value = int_field(value, f"caps {key}")
+            if value < 0:
+                raise ValueError(f"caps {key} must be >= 0, got {value}")
+        caps[key] = value
+    return SearchCaps(**caps)
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .frames import Model, MultiAgentModel, UniformWindowFrame, vote
-from .semantics import eval_consensus, eval_nt
-from .syntax import DerivedOp, Formula, expand_derived, reach
+from .semantics import eval_nt
+from .syntax import And, DerivedOp, Formula, Implies, Next, Not, box, diamond, expand_derived, reach
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,23 @@ def agent_model(model: Union[Model, MultiAgentModel], agent: Optional[str]) -> M
         return Model(model.frame, model.valuations[agent])
     except KeyError:
         raise ValueError(f"unknown agent {agent!r}") from None
+
+
+def consensus_clause(f: Formula) -> Formula:
+    """Per-agent condition of the consensus reading of knowledge.
+
+    The agent sees ``f`` somewhere in the window and, once lost, ``f`` stays
+    lost through the window.
+    """
+    return And(diamond(f), box(Implies(Not(f), Next(Not(f)))))
+
+
+def eval_consensus(model: Union[Model, MultiAgentModel], a: int, f: Formula) -> bool:
+    """True iff the consensus clause for ``f`` holds at ``a`` under every agent's valuation."""
+    clause = consensus_clause(f)
+    if isinstance(model, Model):
+        return eval_nt(model, a, clause)
+    return all(eval_nt(Model(model.frame, v), a, clause) for v in model.valuations.values())
 
 
 def eval_knowledge(

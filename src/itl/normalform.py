@@ -116,14 +116,11 @@ class ReducedNormalFormRule:
         signs.flags.writeable = False
         return signs
 
-    def atom_formulas(self) -> list[Formula]:
-        return _atom_formulas(self.variables)
-
     def fail_mask(self, ev: BatchEvaluator) -> np.ndarray:
         """Hit vector of ``ev``'s valuations where a disjunct holds at every world and ``x1`` fails at one."""
         count = ev.words * WORD_BITS  # padding included: frames of fewer than 64 valuations fill a word each
         realized = np.zeros((ev.worlds, ev.frames, count), dtype=np.uint64)  # atom tables broadcast to every frame
-        for j, atom in enumerate(self.atom_formulas()):
+        for j, atom in enumerate(_atom_formulas(self.variables)):
             realized |= unpack(ev.table(atom), count).astype(np.uint64) << np.uint64(j)
         premise_ok = pack(np.isin(realized, self.keys).all(axis=0))
         return premise_ok & ~ev.everywhere(Letter(self.variables[0]))
@@ -136,7 +133,7 @@ class ReducedNormalFormRule:
         formula depth logarithmic in the disjunct count).  The suffix of a
         disjunct from atom ``t`` on is its key shifted right by ``t``.
         """
-        atoms = self.atom_formulas()
+        atoms = _atom_formulas(self.variables)
         negated = [Not(a) for a in atoms]
         width = len(atoms)
         cache: dict[tuple[int, int], Formula] = {}

@@ -19,7 +19,6 @@ from .frames import (
     Frame,
     FrameError,
     Model,
-    MultiAgentModel,
     UniformWindowFrame,
     Valuation,
     WindowOverflowError,
@@ -37,8 +36,6 @@ from .syntax import (
     Rule,
     TrueBool,
     Until,
-    box,
-    diamond,
     reach,
     subformulas,
 )
@@ -133,7 +130,7 @@ def rule_valid_in_model(model: Model, rule: Rule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _guard_frame_rule(frame: Frame, rule: Rule, max_atoms: Optional[int]) -> int:
+def _guard_frame_rule(frame: Frame, rule: Rule, max_atoms: Optional[int]) -> None:
     cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     bits = len(rule.letters) * frame.worlds
     if bits > cap:
@@ -142,7 +139,6 @@ def _guard_frame_rule(frame: Frame, rule: Rule, max_atoms: Optional[int]) -> int
         horizon = max(reach(f, frame.measure) for f in (*rule.premises, rule.conclusion))
         if horizon > 0:
             raise WindowOverflowError("rule validity over a uniform window frame needs reach-0 formulas")
-    return bits
 
 
 def rule_refutation_mask(rule: Rule) -> tables.FailMask:
@@ -166,39 +162,11 @@ def rule_refutation_mask(rule: Rule) -> tables.FailMask:
     return mask
 
 
-def rule_valid_in_frame(
-    frame: Frame,
-    rule: Rule,
-    *,
-    max_atoms: Optional[int] = None,
-    jobs: int = 1,
-) -> bool:
-    """True iff the rule is valid under every valuation of its letters on ``frame``.
-
-    ``jobs`` is accepted for compatibility and has no effect.
-    """
+def rule_valid_in_frame(frame: Frame, rule: Rule, *, max_atoms: Optional[int] = None) -> bool:
+    """True iff the rule is valid under every valuation of its letters on ``frame``."""
     _guard_frame_rule(frame, rule, max_atoms)
     found = tables.scan_valuations(frame, rule.letters, rule_refutation_mask(rule))
     return found is None
-
-
-# ---------------------------------------------------------------------------
-# Consensus knowledge: every agent sees the fact somewhere and, once lost,
-# it stays lost through the window.
-# ---------------------------------------------------------------------------
-
-
-def consensus_clause(f: Formula) -> Formula:
-    """Per-agent condition of the consensus reading of knowledge."""
-    return And(diamond(f), box(Implies(Not(f), Next(Not(f)))))
-
-
-def eval_consensus(model: Model | MultiAgentModel, a: int, f: Formula) -> bool:
-    """True iff the consensus clause for ``f`` holds at ``a`` under every agent's valuation."""
-    clause = consensus_clause(f)
-    if isinstance(model, Model):
-        return eval_nt(model, a, clause)
-    return all(eval_nt(Model(model.frame, v), a, clause) for v in model.valuations.values())
 
 
 # ---------------------------------------------------------------------------

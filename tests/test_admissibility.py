@@ -110,9 +110,9 @@ def test_letterless_rule_needs_no_pool():
     assert report.cap_note == "1 substitution tuples exceed the cap of 0"  # its one tuple at any depth
 
 
-def _structural_pool(depth, letter):
+def _structural_pool(depth):
     """The pool deduplicated by structural equality, as it was first written."""
-    pool = [TRUE, FALSE, Letter(letter)]
+    pool = [TRUE, FALSE, Letter("p")]
     seen = set(pool)
     for _ in range(depth):
         snapshot = list(pool)
@@ -125,10 +125,9 @@ def _structural_pool(depth, letter):
     return pool
 
 
-@pytest.mark.parametrize("letter", ["p", "q"])
-def test_pool_equals_the_structural_dedup_in_order(letter):
+def test_pool_equals_the_structural_dedup_in_order():
     for depth in (0, 1, 2):
-        assert substitution_pool(depth, letter) == _structural_pool(depth, letter)
+        assert substitution_pool(depth) == _structural_pool(depth)
 
 
 def _equivalent(f, g, m):
@@ -321,8 +320,7 @@ def test_screen_vacuous_premise():
 
 def test_deferred_then_refuted():
     rule = parse_rule("x / false")
-    screen = admissibility_consequences_check(rule, 1)
-    assert screen.status is AdmissibilityStatus.DEFERRED
+    assert admissibility_consequences_check(rule, 1) is None
     report = decide_admissible(rule, 1, 0)
     assert report.status is AdmissibilityStatus.REFUTED
 

@@ -385,12 +385,16 @@ def test_a_negative_cap_variable_is_an_error(tmp_path, monkeypatch, capsys, comm
 
 
 def test_jobs_flag_keeps_output_identical(capsys):
-    base = run(capsys, "refute", "--formula", "G p -> G G p", "--max-worlds", "4", "--max-reach", "3")
-    jobs = run(
-        capsys, "refute", "--formula", "G p -> G G p", "--max-worlds", "4", "--max-reach", "3",
-        "--jobs", "4",
-    )
-    assert base == jobs
+    for command in ("decide", "sat"):
+        base = run(capsys, command, "--m", "2", "--formula", "F F p -> F p")
+        assert run(capsys, command, "--m", "2", "--formula", "F F p -> F p", "--jobs", "4") == base
+
+
+def test_refute_and_rule_valid_refuse_jobs(capsys):
+    refute = ("refute", "--formula", "G p -> G G p", "--max-worlds", "4", "--max-reach", "3")
+    rule_valid = ("rule-valid", "--frame", "frame.json", "--rule", "p / p")
+    for argv in (refute, rule_valid):
+        assert run(capsys, *argv, "--jobs", "2")[0] == 2
 
 
 def test_env_atom_cap_applies_to_rnf(monkeypatch, capsys):
@@ -528,9 +532,13 @@ def test_wide_reduced_form_rule_uses_node_tables(tmp_path, capsys):
 
 
 def test_verify_rejects_unknown_or_malformed_caps(tmp_path, capsys):
-    for caps in ({"bogus": 1}, [1], 5):
+    # a refutation whose certificate re-checks, so only its caps can fail it
+    _, out, _ = run(capsys, "refute", "--rule", "X x / x", "--max-worlds", "2", "--max-reach", "1")
+    verdict = json.loads(out)
+    malformed = [{"max_worlds": value} for value in ("x", 2.5, True, -3, [1])]
+    for caps in ({"bogus": 1}, [1], 5, *malformed):
         path = tmp_path / "verdict.json"
-        path.write_text(json.dumps({"verdict": "inconclusive", "certificate": None, "caps": caps}))
+        path.write_text(json.dumps({**verdict, "caps": caps}))
         code, out, err = run(capsys, "verify", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "caps" in err
