@@ -32,6 +32,14 @@ earlier member of their class.  Let ``rr(c)`` be the earliest member of
    of those records drawn from the pool and walked in pool order meets
    ``T`` before any other refuting tuple, since its product order is the
    pool's restricted to it, so it finds ``T`` too.
+5. The records depend only on (depth, m, world cap).  Their key window uses
+   the constant ``DEFAULT_MAX_ATOMS``, so the search builds them once per
+   process for each of those keys and walks the same records every time.
+6. An instance's verdict depends only on the candidates of the letters its
+   formula reads: ``m`` and the caps are fixed for the search.  So the search
+   decides each premise or conclusion instance once and later tuples reuse
+   its kind.  A formula reading every letter meets a new instance in every
+   tuple and keeps only the current one's kind.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional
 
@@ -56,6 +65,7 @@ from .syntax import (
     Rule,
     Until,
     children,
+    letters_of,
     print_formula,
     reach,
 )
@@ -197,6 +207,11 @@ def pool_classes(depth: int, m: int, max_worlds: Optional[int] = None) -> list[F
     return _grow(depth, admit)
 
 
+@lru_cache(maxsize=32)  # every search at the same (depth, m, world cap) walks the same records
+def _records(depth: int, m: int, world_cap: int) -> tuple[Formula, ...]:
+    return tuple(pool_classes(depth, m, world_cap))
+
+
 class AdmissibilityStatus(Enum):
     REFUTED = "refuted"
     NO_REFUTATION = "no_refutation"
@@ -230,7 +245,9 @@ def search_refuting_substitution(
     only fully certified refutations are ever reported.  Tuples run over
     :func:`pool_classes` at the world cap, and the report is the whole
     pool's, because the whole pool's first refuting tuple is made of records
-    within that cap (module docstring).  The tuple cap counts pool tuples.
+    within that cap (module docstring).  The records are built once per
+    process for each (depth, m, world cap), and each instance is decided once
+    per search (points 5 and 6).  The tuple cap counts pool tuples.
     """
     letters = rule.letters
     cap = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
@@ -243,25 +260,44 @@ def search_refuting_substitution(
             depth=depth,
             cap_note=f"{count} substitution tuples exceed the cap of {cap}",
         )
-    candidates = pool_classes(depth, m, max_worlds) if letters else ()  # a letterless rule has the one empty tuple
+    world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
+    candidates = _records(depth, m, world_cap) if letters else ()  # a letterless rule has the one empty tuple
     kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
-    for combo in product(candidates, repeat=len(letters)):
-        sub = dict(zip(letters, combo))
-        premise_verdicts = []
-        for p in rule.premises:
-            premise_verdicts.append(decide_uniform_theorem(apply_substitution(p, sub), m, **kwargs))
-            if premise_verdicts[-1].kind is not VerdictKind.THEOREM:
-                break
-        else:
-            cv = decide_uniform_theorem(apply_substitution(rule.conclusion, sub), m, **kwargs)
-            if cv.kind is VerdictKind.NON_THEOREM:
-                return AdmissibilityReport(
-                    AdmissibilityStatus.REFUTED,
-                    substitution=sub,
-                    premise_verdicts=tuple(premise_verdicts),
-                    conclusion_verdict=cv,
-                    depth=depth,
-                )
+    formulas = (*rule.premises, rule.conclusion)
+    # Where each formula's letters sit in a tuple, and the kinds of its instances decided so far (point 6).
+    reads = {id(f): [letters.index(a) for a in letters_of(f)] for f in formulas}
+    kinds: dict[int, dict[tuple[int, ...], VerdictKind]] = {key: {} for key in reads}
+    decided: dict[int, Verdict] = {}  # the verdicts decided for the current tuple
+
+    def verdict(f: Formula, sub: Substitution) -> Verdict:
+        return decide_uniform_theorem(apply_substitution(f, sub), m, **kwargs)
+
+    def kind(f: Formula, picks: tuple[int, ...], sub: Substitution) -> VerdictKind:
+        known = kinds[id(f)]
+        key = tuple(picks[i] for i in reads[id(f)])
+        if key not in known:
+            if len(key) == len(letters):
+                known.clear()  # every later tuple is a new instance
+            decided[id(f)] = verdict(f, sub)
+            known[key] = decided[id(f)].kind
+        return known[key]
+
+    for picks in product(range(len(candidates)), repeat=len(letters)):
+        sub = {a: candidates[i] for a, i in zip(letters, picks)}
+        decided.clear()
+        if (
+            all(kind(p, picks, sub) is VerdictKind.THEOREM for p in rule.premises)
+            and kind(rule.conclusion, picks, sub) is VerdictKind.NON_THEOREM
+        ):
+            # The report carries all the tuple's verdicts: one an earlier tuple decided is decided again.
+            verdicts = [decided.get(id(f)) or verdict(f, sub) for f in formulas]
+            return AdmissibilityReport(
+                AdmissibilityStatus.REFUTED,
+                substitution=sub,
+                premise_verdicts=tuple(verdicts[:-1]),
+                conclusion_verdict=verdicts[-1],
+                depth=depth,
+            )
     return AdmissibilityReport(AdmissibilityStatus.NO_REFUTATION, depth=depth)
 
 

@@ -37,6 +37,7 @@ from itl import (
 )
 from itl import admissibility
 from itl.admissibility import DEFAULT_MAX_TUPLES, pool_classes, report_to_dict
+from itl.cli import main
 from itl.frames import UniformWindowFrame
 from itl.limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
 from itl.syntax import children
@@ -45,6 +46,14 @@ from itl.tables import BatchEvaluator
 from helpers import random_formula
 
 p, q, x = Letter("p"), Letter("q"), Letter("x")
+
+
+@pytest.fixture(autouse=True)
+def cold_records():
+    """Every test starts with no reach records cached, so none reads another's."""
+    admissibility._records.cache_clear()
+    yield
+    admissibility._records.cache_clear()
 
 
 # --- substitution -----------------------------------------------------------
@@ -483,3 +492,90 @@ def test_class_search_reports_what_the_whole_pool_search_reports(monkeypatch, ti
     assert (AdmissibilityStatus.NO_REFUTATION, False) in statuses
     if tight:
         assert VerdictKind.INCONCLUSIVE in kinds  # the class search met verdicts the caps left open
+
+
+# --- work kept across tuples and searches ----------------------------------------
+
+
+def _decided(monkeypatch):
+    """Record every formula the search decides."""
+    calls = []
+    real = admissibility.decide_uniform_theorem
+
+    def spy(f, m, **caps):
+        calls.append(f)
+        return real(f, m, **caps)
+
+    monkeypatch.setattr(admissibility, "decide_uniform_theorem", spy)
+    return calls
+
+
+def test_a_premise_reading_one_letter_is_decided_once_per_candidate(monkeypatch):
+    calls = _decided(monkeypatch)
+    rule = parse_rule("X X x, y / x & y")
+    report = search_refuting_substitution(rule, 1, 1)
+    assert report.status is AdmissibilityStatus.NO_REFUTATION  # every tuple was walked
+    records = pool_classes(1, 1)
+    instances = [apply_substitution(rule.premises[0], {"x": c}) for c in records]
+    assert [f for f in calls if f in instances] == instances  # not once per tuple of len(records) ** 2
+
+
+def test_a_formula_reading_every_letter_is_decided_once_per_tuple(monkeypatch):
+    calls = _decided(monkeypatch)
+    rule = parse_rule("x & y / X (y & x)")
+    assert search_refuting_substitution(rule, 1, 1).status is AdmissibilityStatus.NO_REFUTATION
+    records = pool_classes(1, 1)
+    instances = [apply_substitution(rule.premises[0], {"x": a, "y": b}) for a, b in product(records, repeat=2)]
+    assert [f for f in calls if f in instances] == instances
+
+
+def test_a_conclusion_that_is_the_premise_is_decided_once(monkeypatch):
+    calls = _decided(monkeypatch)
+    rule = parse_rule("x / x")
+    assert rule.conclusion is rule.premises[0]  # the parser shares equal subtrees
+    assert search_refuting_substitution(rule, 1, 1).status is AdmissibilityStatus.NO_REFUTATION
+    assert calls == pool_classes(1, 1)  # the instance of x is the candidate itself
+
+
+def _built(monkeypatch):
+    """Record the world cap of every pool_classes call."""
+    caps = []
+    real = admissibility.pool_classes
+
+    def spy(depth, m, max_worlds=None):
+        caps.append(max_worlds)
+        return real(depth, m, max_worlds)
+
+    monkeypatch.setattr(admissibility, "pool_classes", spy)
+    return caps
+
+
+def test_records_are_built_once_per_depth_m_and_world_cap(monkeypatch):
+    caps = _built(monkeypatch)
+    rule = parse_rule("x | !x / x | X X !x")
+    default = search_refuting_substitution(rule, 1, 1)
+    assert search_refuting_substitution(rule, 1, 1, max_worlds=DEFAULT_MAX_WORLDS) == default
+    assert default.status is AdmissibilityStatus.REFUTED and caps == [DEFAULT_MAX_WORLDS]
+    tight = search_refuting_substitution(rule, 1, 1, max_worlds=3)
+    assert caps == [DEFAULT_MAX_WORLDS, 3]
+    want = _full_search(rule, 1, 1, max_worlds=3)
+    assert report_to_dict(tight) == report_to_dict(want) and tight.premise_verdicts == want.premise_verdicts
+
+
+def test_cli_world_cap_reads_its_own_records(monkeypatch, capsys):
+    caps = _built(monkeypatch)
+    argv = ["admissible", "--m", "1", "--depth", "1", "--rule", "x | !x / x | X X !x"]
+
+    def stdout(env):
+        if env is None:
+            monkeypatch.delenv("ITL_MAX_WORLDS", raising=False)
+        else:
+            monkeypatch.setenv("ITL_MAX_WORLDS", env)
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    cold = stdout("2")
+    admissibility._records.cache_clear()
+    refuted = stdout(None)
+    assert stdout("2") == cold != refuted  # at 2 worlds the refuting instance is Inconclusive
+    assert caps == [2, DEFAULT_MAX_WORLDS, 2]  # the warm default-cap records did not serve the 2-world search

@@ -462,6 +462,15 @@ def test_admissible_keeps_its_bytes_on_the_admissible_pool(capsys):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == ADMISSIBLE_POOL_STDOUT_SHA256
 
 
+def test_admissible_keeps_its_bytes_with_its_records_cached(capsys):
+    # the second pass walks the reach records the first pass cached in this process
+    entries = json.loads(ADMISSIBLE_POOL.read_text())["entries"]
+    argvs = [("admissible", "--m", str(e["m"]), "--rule", e["rule"], "--depth", str(e["depth"])) for e in entries]
+    for _ in range(2):
+        outs = [run(capsys, *argv)[1] for argv in argvs]
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == ADMISSIBLE_POOL_STDOUT_SHA256
+
+
 def test_every_benchmark_trace_target_resolves(monkeypatch):
     # the traced benchmark wraps these names from outside the package; a lost one leaves its metrics absent
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
