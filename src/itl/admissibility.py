@@ -37,9 +37,27 @@ earlier member of their class.  Let ``rr(c)`` be the earliest member of
    process for each of those keys and walks the same records every time.
 6. An instance's verdict depends only on the candidates of the letters its
    formula reads: ``m`` and the caps are fixed for the search.  So the search
-   decides each premise or conclusion instance once and later tuples reuse
-   its kind.  A formula reading every letter meets a new instance in every
+   reads each premise or conclusion instance's kind once and later tuples
+   reuse it.  A formula reading every letter meets a new instance in every
    tuple and keeps only the current one's kind.
+7. The search and the screens read kinds, not verdicts.  An instance past
+   the caps is Inconclusive.  One of at most ``ONE_WORD_BITS`` valuation
+   bits is evaluated on one evaluator shared by every formula with its
+   (width, letters) window, and is a theorem iff its world-0 row holds at
+   every valuation.  That is exact: there the decide scans the same frame,
+   the same letters and every valuation.  A wider instance is decided.  The
+   candidates are shared subtrees, so their tables are built once per
+   search; after each read the tables of the nodes the substitution built
+   are dropped, so only candidate tables stay.  Only a refuting tuple's
+   conclusion is decided, for its countermodel: a theorem verdict carries
+   nothing but its kind.
+8. A conjunction holds at world 0 iff each conjunct does, its window is the
+   widest conjunct's and its letters are the union of theirs.  So a premise
+   or conclusion that is an ``&`` chain, one of whose conjuncts reads fewer
+   letters than the whole, is read conjunct by conjunct, each keyed on the
+   letters it reads.  Its kind is Inconclusive when that window is past the
+   caps, else a theorem iff every conjunct is.  A premise stops at its first
+   conjunct that is no theorem: the conjunction is none either.
 """
 
 from __future__ import annotations
@@ -51,7 +69,15 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional
 
-from .decide import Verdict, VerdictKind, decide_uniform_theorem, verdict_to_dict
+from .decide import (
+    ONE_WORD_BITS,
+    Verdict,
+    VerdictKind,
+    decide_uniform_theorem,
+    uniform_window,
+    verdict_to_dict,
+    window_fits,
+)
 from .frames import UniformWindowFrame
 from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS, MAX_PRINTED_DIGITS
 from .syntax import (
@@ -229,6 +255,75 @@ class AdmissibilityReport:
     cap_note: Optional[str] = None
 
 
+# The kind of an instance's theoremhood, with the letters and window width it was read at (none past the caps).
+Reading = tuple[VerdictKind, tuple[str, ...], int]
+
+
+class _Kinds:
+    """Theorem kinds of uniform formulas at one memory length and caps, read off shared window tables.
+
+    :meth:`read` gives the kind :func:`~itl.decide.decide_uniform_theorem`
+    gives.  A formula of at most ``ONE_WORD_BITS`` valuation bits is
+    evaluated on the one evaluator of its (width, letters) window and is a
+    theorem iff its world-0 row holds at every valuation; a wider one is
+    decided (module docstring, point 7).  One reader serves one
+    :func:`decide_admissible` call and is dropped with it.
+    """
+
+    def __init__(self, m: int, max_atoms: Optional[int], max_worlds: Optional[int]):
+        self.m = m
+        self.caps = {"max_atoms": max_atoms, "max_worlds": max_worlds}
+        self._windows: dict[tuple[tuple[str, ...], int], BatchEvaluator] = {}
+
+    def read(self, f: Formula, pattern: Optional[Formula] = None) -> Reading:
+        """The reading of ``f``; for an instance of ``pattern``, drop the tables of the nodes the substitution built."""
+        window = uniform_window(f, self.m, **self.caps)
+        if window is None:
+            return VerdictKind.INCONCLUSIVE, (), 0
+        letters, width = window
+        if len(letters) * width > ONE_WORD_BITS:
+            return decide_uniform_theorem(f, self.m, **self.caps).kind, letters, width
+        ev = self._windows.get(window)
+        if ev is None:
+            frame = UniformWindowFrame(width, self.m)
+            ev = self._windows[window] = BatchEvaluator(frame, letters, range(1 << len(letters) * width))
+        holds = (ev.table(f)[0, 0, 0] & ev.valid) == ev.valid
+        if pattern is not None:
+            # apply_substitution builds a node for every node of the pattern but its leaves
+            stack = [(pattern, f)]
+            while stack:
+                g, instance = stack.pop()
+                kids = children(g)
+                if kids:
+                    ev.forget(instance)
+                    stack.extend(zip(kids, children(instance)))
+        return (VerdictKind.THEOREM if holds else VerdictKind.NON_THEOREM), letters, width
+
+    def conjunction(self, readings: list[Reading]) -> VerdictKind:
+        """The kind of a conjunction from the readings of its conjuncts (module docstring, point 8)."""
+        if any(kind is VerdictKind.INCONCLUSIVE for kind, _, _ in readings):
+            return VerdictKind.INCONCLUSIVE  # a conjunct's window past the caps is inside the conjunction's
+        letters = set().union(*(read for _, read, _ in readings))
+        width = max(width for _, _, width in readings)
+        if not window_fits(len(letters), width, **self.caps):
+            return VerdictKind.INCONCLUSIVE
+        theorem = all(kind is VerdictKind.THEOREM for kind, _, _ in readings)
+        return VerdictKind.THEOREM if theorem else VerdictKind.NON_THEOREM
+
+
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The conjuncts of the ``&`` chain ``f``, left to right, each object once; ``[f]`` when it is not one."""
+    out: dict[int, Formula] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            out.setdefault(id(g), g)
+    return list(out.values())
+
+
 def search_refuting_substitution(
     rule: Rule,
     m: int,
@@ -246,9 +341,14 @@ def search_refuting_substitution(
     :func:`pool_classes` at the world cap, and the report is the whole
     pool's, because the whole pool's first refuting tuple is made of records
     within that cap (module docstring).  The records are built once per
-    process for each (depth, m, world cap), and each instance is decided once
-    per search (points 5 and 6).  The tuple cap counts pool tuples.
+    process for each (depth, m, world cap), each instance is read once per
+    search, off a shared window table, and a conjunction conjunct by
+    conjunct (points 5 to 8).  The tuple cap counts pool tuples.
     """
+    return _search(rule, depth, _Kinds(m, max_atoms, max_worlds), max_tuples)
+
+
+def _search(rule: Rule, depth: int, kinds: _Kinds, max_tuples: Optional[int]) -> AdmissibilityReport:
     letters = rule.letters
     cap = DEFAULT_MAX_TUPLES if max_tuples is None else max_tuples
     # Counted before a pool that may never finish is built, and no further than can be printed.
@@ -260,42 +360,64 @@ def search_refuting_substitution(
             depth=depth,
             cap_note=f"{count} substitution tuples exceed the cap of {cap}",
         )
+    max_worlds = kinds.caps["max_worlds"]
     world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
-    candidates = _records(depth, m, world_cap) if letters else ()  # a letterless rule has the one empty tuple
-    kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
-    formulas = (*rule.premises, rule.conclusion)
-    # Where each formula's letters sit in a tuple, and the kinds of its instances decided so far (point 6).
-    reads = {id(f): [letters.index(a) for a in letters_of(f)] for f in formulas}
-    kinds: dict[int, dict[tuple[int, ...], VerdictKind]] = {key: {} for key in reads}
-    decided: dict[int, Verdict] = {}  # the verdicts decided for the current tuple
+    candidates = _records(depth, kinds.m, world_cap) if letters else ()  # a letterless rule has the one empty tuple
+    # Per rule formula or conjunct: where its letters sit in a tuple, and the readings of its instances so far
+    # (point 6).  A conjunction is read by its conjuncts when one of them reads fewer letters (point 8).
+    known: dict[int, tuple[list[int], dict[tuple[int, ...], Reading]]] = {}
+    parts: dict[int, list[Formula]] = {}
 
-    def verdict(f: Formula, sub: Substitution) -> Verdict:
-        return decide_uniform_theorem(apply_substitution(f, sub), m, **kwargs)
+    def track(f: Formula) -> None:
+        known[id(f)] = [letters.index(a) for a in letters_of(f)], {}
 
-    def kind(f: Formula, picks: tuple[int, ...], sub: Substitution) -> VerdictKind:
-        known = kinds[id(f)]
-        key = tuple(picks[i] for i in reads[id(f)])
-        if key not in known:
+    for f in (*rule.premises, rule.conclusion):
+        track(f)
+        conjuncts = _conjuncts(f)
+        if len(conjuncts) > 1 and any(len(letters_of(g)) < len(known[id(f)][0]) for g in conjuncts):
+            parts[id(f)] = conjuncts
+            for g in conjuncts:
+                track(g)
+
+    def reading(f: Formula, picks: tuple[int, ...]) -> Reading:
+        reads, cache = known[id(f)]
+        key = tuple([picks[i] for i in reads])
+        hit = cache.get(key)
+        if hit is None:
             if len(key) == len(letters):
-                known.clear()  # every later tuple is a new instance
-            decided[id(f)] = verdict(f, sub)
-            known[key] = decided[id(f)].kind
-        return known[key]
+                cache.clear()  # every later tuple is a new instance
+            hit = cache[key] = kinds.read(apply_substitution(f, substitution(picks)), f)
+        return hit
+
+    def theorem(f: Formula, picks: tuple[int, ...]) -> bool:
+        split = parts.get(id(f))
+        if split is None:
+            return reading(f, picks)[0] is VerdictKind.THEOREM
+        readings = []
+        for g in split:
+            readings.append(reading(g, picks))
+            if readings[-1][0] is not VerdictKind.THEOREM:
+                return False  # then the conjunction is no theorem either, whatever its window
+        return kinds.conjunction(readings) is VerdictKind.THEOREM
+
+    def non_theorem(f: Formula, picks: tuple[int, ...]) -> bool:
+        split = parts.get(id(f))
+        kind = reading(f, picks)[0] if split is None else kinds.conjunction([reading(g, picks) for g in split])
+        return kind is VerdictKind.NON_THEOREM
+
+    def substitution(picks: tuple[int, ...]) -> dict[str, Formula]:
+        return {a: candidates[i] for a, i in zip(letters, picks)}
 
     for picks in product(range(len(candidates)), repeat=len(letters)):
-        sub = {a: candidates[i] for a, i in zip(letters, picks)}
-        decided.clear()
-        if (
-            all(kind(p, picks, sub) is VerdictKind.THEOREM for p in rule.premises)
-            and kind(rule.conclusion, picks, sub) is VerdictKind.NON_THEOREM
-        ):
-            # The report carries all the tuple's verdicts: one an earlier tuple decided is decided again.
-            verdicts = [decided.get(id(f)) or verdict(f, sub) for f in formulas]
+        if all(theorem(p, picks) for p in rule.premises) and non_theorem(rule.conclusion, picks):
+            sub = substitution(picks)
+            # A theorem verdict carries nothing but its kind; the conclusion's carries the countermodel.
+            conclusion = apply_substitution(rule.conclusion, sub)
             return AdmissibilityReport(
                 AdmissibilityStatus.REFUTED,
                 substitution=sub,
-                premise_verdicts=tuple(verdicts[:-1]),
-                conclusion_verdict=verdicts[-1],
+                premise_verdicts=tuple(Verdict(VerdictKind.THEOREM) for _ in rule.premises),
+                conclusion_verdict=decide_uniform_theorem(conclusion, kinds.m, **kinds.caps),
                 depth=depth,
             )
     return AdmissibilityReport(AdmissibilityStatus.NO_REFUTATION, depth=depth)
@@ -315,13 +437,14 @@ def admissibility_consequences_check(
     the rule is vacuously admissible.  Anything else returns None and is left
     to :func:`search_refuting_substitution`.
     """
-    kwargs = {"max_atoms": max_atoms, "max_worlds": max_worlds}
-    cv = decide_uniform_theorem(rule.conclusion, m, **kwargs)
-    if cv.kind is VerdictKind.THEOREM:
+    return _screen(rule, _Kinds(m, max_atoms, max_worlds))
+
+
+def _screen(rule: Rule, kinds: _Kinds) -> Optional[AdmissibilityReport]:
+    if kinds.read(rule.conclusion)[0] is VerdictKind.THEOREM:
         return AdmissibilityReport(AdmissibilityStatus.ADMISSIBLE_SCREEN, reason="conclusion_is_theorem")
     for p in rule.premises:
-        nv = decide_uniform_theorem(Not(p), m, **kwargs)
-        if nv.kind is VerdictKind.THEOREM:
+        if kinds.read(Not(p))[0] is VerdictKind.THEOREM:
             return AdmissibilityReport(AdmissibilityStatus.ADMISSIBLE_SCREEN, reason="premise_unsatisfiable")
     return None
 
@@ -335,11 +458,9 @@ def decide_admissible(
     max_atoms: Optional[int] = None,
     max_worlds: Optional[int] = None,
 ) -> AdmissibilityReport:
-    """Screens first, bounded refutation search otherwise."""
-    screen = admissibility_consequences_check(rule, m, max_atoms=max_atoms, max_worlds=max_worlds)
-    return screen or search_refuting_substitution(
-        rule, m, depth, max_tuples=max_tuples, max_atoms=max_atoms, max_worlds=max_worlds
-    )
+    """Screens first, bounded refutation search otherwise, both reading kinds through one reader."""
+    kinds = _Kinds(m, max_atoms, max_worlds)
+    return _screen(rule, kinds) or _search(rule, depth, kinds, max_tuples)
 
 
 def report_to_dict(report: AdmissibilityReport) -> dict:

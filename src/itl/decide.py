@@ -121,6 +121,30 @@ def decide_uniform_satisfiable(
     return _decide_uniform(f, m, True, max_atoms, max_worlds)
 
 
+# A sweep of at most this many valuation bits fills one word, which a read
+# set cannot shrink: there the walk only costs (admissibility's decides, measured).
+ONE_WORD_BITS = 6
+
+
+def window_fits(letters: int, width: int, max_atoms: Optional[int], max_worlds: Optional[int]) -> bool:
+    """Whether a window frame of ``width`` worlds over ``letters`` letters is within the caps.
+
+    Past them a uniform verdict is Inconclusive: the window is wider than the
+    world cap, or its ``letters * width`` valuation bits pass the atom cap.
+    """
+    world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
+    atom_cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
+    return width <= world_cap and letters * width <= atom_cap
+
+
+def uniform_window(
+    f: Formula, m: int, max_atoms: Optional[int], max_worlds: Optional[int]
+) -> Optional[tuple[tuple[str, ...], int]]:
+    """The letters of ``f`` and the width ``reach(f, m) + 1`` of its window frame, or None past the caps."""
+    letters, width = letters_of(f), reach(f, m) + 1
+    return (letters, width) if window_fits(len(letters), width, max_atoms, max_worlds) else None
+
+
 def _decide_uniform(f: Formula, m: int, want: bool, max_atoms: Optional[int], max_worlds: Optional[int]) -> Verdict:
     """Search for a valuation giving ``f`` the value ``want`` at world 0.
 
@@ -131,25 +155,23 @@ def _decide_uniform(f: Formula, m: int, want: bool, max_atoms: Optional[int], ma
     sweep over all ``n * width`` bits (clearing unread bits keeps a hit and
     makes no code larger), so it becomes the same certificate.  The caps
     still count all ``n * width`` bits: verdicts are Inconclusive when the
-    window or the full valuation count would exceed them.  A sweep of at
-    most 6 bits is one word either way and keeps every bit.
+    window or the full valuation count would exceed them
+    (:func:`uniform_window`).  A sweep of at most ``ONE_WORD_BITS`` bits is
+    one word either way and keeps every bit.
     """
-    atom_cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
-    world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
-    letters = letters_of(f)
-    width = reach(f, m) + 1
-    n_bits = len(letters) * width
-    if width > world_cap or n_bits > atom_cap:
+    window = uniform_window(f, m, max_atoms, max_worlds)
+    if window is None:
+        atom_cap = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
+        world_cap = DEFAULT_MAX_WORLDS if max_worlds is None else max_worlds
         return Verdict(VerdictKind.INCONCLUSIVE, caps=SearchCaps(max_worlds=world_cap, max_atoms=atom_cap))
+    letters, width = window
     frame = UniformWindowFrame(width, m)
 
     def hits(ev):
         row = ev.table(f)[0]
         return row if want else ~row
 
-    # A sweep of at most 6 bits fills one word, which the read set cannot
-    # shrink: there the walk only costs (admissibility's decides, measured).
-    reads = read_set(f, m) if n_bits > 6 else None
+    reads = read_set(f, m) if len(letters) * width > ONE_WORD_BITS else None
     found = scan_valuations(frame, letters, hits, reads=reads)
     if found is None:
         return Verdict(VerdictKind.UNSATISFIABLE if want else VerdictKind.THEOREM)

@@ -135,6 +135,7 @@ def letters_of(f: Formula) -> tuple[str, ...]:
             walk(child)
 
     walk(f)
+    del walk  # it refers to itself through its closure: left bound, each call would leave a cycle to collect
     return tuple(out)
 
 
@@ -169,7 +170,9 @@ def reach(f: Formula, m: int) -> int:
         memo[key] = r
         return r
 
-    return go(f)
+    r = go(f)
+    del go  # as in letters_of: no cycle is left for the collector
+    return r
 
 
 def read_set(f: Formula, m: int) -> dict[str, int]:

@@ -261,8 +261,16 @@ class BatchEvaluator:
         return t
 
     def forget(self, f: Formula) -> None:
-        """Drop the table of ``f``, not those of its subformulas; asking for it again rebuilds it."""
-        self._memo.pop(id(f), None)
+        """Drop the table of ``f`` and its pin, not those of its subformulas; asking for it again rebuilds it.
+
+        The pin is looked up from the newest, where a table built last sits.
+        """
+        if self._memo.pop(id(f), None) is not None:
+            pins = self._pinned
+            i = len(pins) - 1
+            while pins[i] is not f:
+                i -= 1
+            del pins[i]
 
     def everywhere(self, f: Formula) -> np.ndarray:
         """Packed vector per frame row: ``f`` holds at every world."""

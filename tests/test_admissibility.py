@@ -40,7 +40,7 @@ from itl.admissibility import DEFAULT_MAX_TUPLES, pool_classes, report_to_dict
 from itl.cli import main
 from itl.frames import UniformWindowFrame
 from itl.limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
-from itl.syntax import children
+from itl.syntax import _post_order, children
 from itl.tables import BatchEvaluator
 
 from helpers import random_formula
@@ -229,13 +229,19 @@ def test_pool_classes_keep_the_tables_of_records_only(monkeypatch):
     class Recorded(BatchEvaluator):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.built = 0
             made.append(self)
+
+        def table(self, f):
+            self.built += id(f) not in self._memo
+            return super().table(f)
 
     monkeypatch.setattr(admissibility, "BatchEvaluator", Recorded)
     records = pool_classes(2, 2)
     (ev,) = made
-    assert len(ev._pinned) > 2 * len(records)  # it built a table for every candidate
+    assert ev.built > 2 * len(records)  # it built a table for every candidate
     assert set(ev._memo) == {id(f) for f in records}  # no table of a rejected candidate is kept
+    assert {id(f) for f in ev._pinned} == set(ev._memo)  # nor its pin
 
 
 def test_pool_too_wide_to_classify_is_searched_whole(monkeypatch):
@@ -454,15 +460,7 @@ _REFUTED_BY_LETTER_FORMULAS = [
 
 @pytest.mark.parametrize("tight", [False, True], ids=["default-caps", "tight-caps"])
 def test_class_search_reports_what_the_whole_pool_search_reports(monkeypatch, tight):
-    kinds = set()
-    real = admissibility.decide_uniform_theorem
-
-    def spy(f, m, **caps):
-        verdict = real(f, m, **caps)
-        kinds.add(verdict.kind)
-        return verdict
-
-    monkeypatch.setattr(admissibility, "decide_uniform_theorem", spy)
+    reads = _reads(monkeypatch)
     rng = random.Random(131 if tight else 137)
     # (depth, letters) mixes: a 1-letter rule at depth 2 walks all 1515 pool tuples in the reference
     mixes = [(0, 1), (0, 2)] * 4 + [(1, 1), (1, 2)] * 5 + [(2, 1)] * 3 + [(2, 2)]
@@ -491,50 +489,54 @@ def test_class_search_reports_what_the_whole_pool_search_reports(monkeypatch, ti
     assert (AdmissibilityStatus.REFUTED, False) in statuses
     assert (AdmissibilityStatus.NO_REFUTATION, False) in statuses
     if tight:
-        assert VerdictKind.INCONCLUSIVE in kinds  # the class search met verdicts the caps left open
+        # the class search met verdicts the caps left open
+        assert VerdictKind.INCONCLUSIVE in {kind for _, (kind, _, _) in reads}
 
 
 # --- work kept across tuples and searches ----------------------------------------
 
 
-def _decided(monkeypatch):
-    """Record every formula the search decides."""
+def _reads(monkeypatch):
+    """Record every formula whose kind the search reads, with its reading."""
     calls = []
-    real = admissibility.decide_uniform_theorem
+    real = admissibility._Kinds.read
 
-    def spy(f, m, **caps):
-        calls.append(f)
-        return real(f, m, **caps)
+    def spy(self, f, pattern=None):
+        reading = real(self, f, pattern)
+        calls.append((f, reading))
+        return reading
 
-    monkeypatch.setattr(admissibility, "decide_uniform_theorem", spy)
+    monkeypatch.setattr(admissibility._Kinds, "read", spy)
     return calls
 
 
 def test_a_premise_reading_one_letter_is_decided_once_per_candidate(monkeypatch):
-    calls = _decided(monkeypatch)
+    reads = _reads(monkeypatch)
     rule = parse_rule("X X x, y / x & y")
     report = search_refuting_substitution(rule, 1, 1)
     assert report.status is AdmissibilityStatus.NO_REFUTATION  # every tuple was walked
+    calls = [f for f, _ in reads]
     records = pool_classes(1, 1)
     instances = [apply_substitution(rule.premises[0], {"x": c}) for c in records]
     assert [f for f in calls if f in instances] == instances  # not once per tuple of len(records) ** 2
 
 
 def test_a_formula_reading_every_letter_is_decided_once_per_tuple(monkeypatch):
-    calls = _decided(monkeypatch)
-    rule = parse_rule("x & y / X (y & x)")
+    reads = _reads(monkeypatch)
+    rule = parse_rule("X (x & y) / X X (y & x)")  # a premise x & y would be read by its conjuncts
     assert search_refuting_substitution(rule, 1, 1).status is AdmissibilityStatus.NO_REFUTATION
+    calls = [f for f, _ in reads]
     records = pool_classes(1, 1)
     instances = [apply_substitution(rule.premises[0], {"x": a, "y": b}) for a, b in product(records, repeat=2)]
     assert [f for f in calls if f in instances] == instances
 
 
 def test_a_conclusion_that_is_the_premise_is_decided_once(monkeypatch):
-    calls = _decided(monkeypatch)
+    reads = _reads(monkeypatch)
     rule = parse_rule("x / x")
     assert rule.conclusion is rule.premises[0]  # the parser shares equal subtrees
     assert search_refuting_substitution(rule, 1, 1).status is AdmissibilityStatus.NO_REFUTATION
-    assert calls == pool_classes(1, 1)  # the instance of x is the candidate itself
+    assert [f for f, _ in reads] == pool_classes(1, 1)  # the instance of x is the candidate itself
 
 
 def _built(monkeypatch):
@@ -579,3 +581,121 @@ def test_cli_world_cap_reads_its_own_records(monkeypatch, capsys):
     refuted = stdout(None)
     assert stdout("2") == cold != refuted  # at 2 worlds the refuting instance is Inconclusive
     assert caps == [2, DEFAULT_MAX_WORLDS, 2]  # the warm default-cap records did not serve the 2-world search
+
+
+# --- kinds read off shared window tables ------------------------------------------
+
+
+def _reading_caps(rng, caps):
+    if caps == "tight":
+        return {"max_worlds": rng.randint(0, 6), "max_atoms": rng.randint(0, 10)}
+    return {"max_worlds": 16, "max_atoms": 24} if caps == "raised" else {}
+
+
+@pytest.mark.parametrize("caps", ["default", "tight", "raised"])
+def test_the_kind_reader_reads_what_decide_gives(caps):
+    rng = random.Random({"default": 401, "tight": 409, "raised": 419}[caps])
+    candidates = substitution_pool(1)
+    met = set()
+    for _ in range(30):
+        m, cap = rng.randint(1, 3), _reading_caps(rng, caps)
+        # one reader for every read below, as in one search
+        kinds = admissibility._Kinds(m, cap.get("max_atoms"), cap.get("max_worlds"))
+        for _ in range(4):
+            rule = _random_rule(rng, rng.randint(1, 2))
+            for f in (*rule.premises, rule.conclusion):
+                f = And(f, rule.conclusion) if rng.random() < 0.3 else f
+                for g in (f, Not(f)):  # what the screens read
+                    assert kinds.read(g)[0] is decide_uniform_theorem(g, m, **cap).kind, (g, m, cap)
+                sub = {a: rng.choice(candidates) for a in rule.letters}
+                instance = apply_substitution(f, sub)
+                want = decide_uniform_theorem(instance, m, **cap).kind
+                kind, letters, width = kinds.read(apply_substitution(f, sub), f)
+                assert kind is want, (instance, m, cap)
+                conjuncts = admissibility._conjuncts(f)
+                readings = [kinds.read(apply_substitution(c, sub), c) for c in conjuncts]
+                assert kinds.conjunction(readings) is want, (instance, m, cap)
+                met.add(want)
+                if want is not VerdictKind.INCONCLUSIVE:
+                    bits = len(letters) * width
+                    met.add("letterless" if not letters else "over one word" if bits > 6 else "one word")
+    assert {VerdictKind.THEOREM, VerdictKind.NON_THEOREM, "letterless", "one word"} <= met
+    if caps == "tight":
+        assert VerdictKind.INCONCLUSIVE in met
+    else:
+        assert "over one word" in met
+
+
+def test_a_search_keeps_no_table_of_an_instance_node(monkeypatch):
+    made = []
+
+    class Recorded(BatchEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.instances = 0  # tables built for nodes neither a candidate nor the rule holds
+            made.append(self)
+
+        def table(self, f):
+            self.instances += id(f) not in self._memo and id(f) not in kept
+            return super().table(f)
+
+    built = 0
+    for text, m, depth in [
+        ("x, y / x & y", 1, 1),
+        ("X X x, y / x U y", 2, 1),
+        ("(x -> x) U !x / x -> X x", 2, 2),
+        ("x & X y & (x U y) / X x", 1, 1),
+        ("x | !x / x | X !x", 1, 1),
+    ]:
+        rule = parse_rule(text)
+        # built before the spy, as a warm search finds them
+        records = admissibility._records(depth, m, DEFAULT_MAX_WORLDS)
+        kept = {id(g) for g in _post_order((*records, *rule.premises, rule.conclusion))}
+        monkeypatch.setattr(admissibility, "BatchEvaluator", Recorded)
+        made.clear()
+        search_refuting_substitution(rule, m, depth)
+        monkeypatch.undo()
+        for ev in made:
+            assert set(ev._memo) <= kept
+            assert {id(g) for g in ev._pinned} == set(ev._memo)
+        built += sum(ev.instances for ev in made)
+    assert built > 0  # the searches evaluated instance nodes on these evaluators
+
+
+_CONJUNCTION_RULES = [
+    "x & y / x",
+    "x & X y, y / X (x & y)",
+    "x & (y U x) / y",
+    "x & !y / false",
+    "x / x & X x",
+    "y / (x | y) & X x",
+    "x & y & !x / y",
+    "(x U y) & X y / x",
+    "X x & X X y / X (x | y)",
+]
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["default-caps", "tight-caps"])
+def test_a_split_conjunction_reports_what_the_whole_pool_search_reports(tight):
+    caps = {"max_worlds": 3, "max_atoms": 2} if tight else {}
+    statuses = set()
+    for text in _CONJUNCTION_RULES:
+        rule = parse_rule(text)
+        for m, depth in [(1, 1), (2, 1), (1, 2)][: 3 if len(rule.letters) == 1 else 2]:
+            got = search_refuting_substitution(rule, m, depth, **caps)
+            want = _full_search(rule, m, depth, **caps)
+            assert json.dumps(report_to_dict(got), sort_keys=True) == json.dumps(report_to_dict(want), sort_keys=True)
+            assert got.premise_verdicts == want.premise_verdicts
+            statuses.add(got.status)
+    assert statuses == {AdmissibilityStatus.REFUTED, AdmissibilityStatus.NO_REFUTATION}
+
+
+def test_a_conjunction_is_read_once_per_candidate_of_each_conjunct(monkeypatch):
+    reads = _reads(monkeypatch)
+    rule = parse_rule("a & b & c & d / X a | (b U c)")
+    got = search_refuting_substitution(rule, 1, 0)
+    assert report_to_dict(got) == report_to_dict(_full_search(rule, 1, 0))
+    calls = [f for f, _ in reads]
+    conclusion = apply_substitution(rule.conclusion, dict.fromkeys("abc", TRUE))  # read when every premise holds
+    assert calls.count(conclusion) == 1
+    assert len(calls) == 4 * len(pool_classes(0, 1)) + 1  # not once per tuple of len(records) ** 4

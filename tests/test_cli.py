@@ -445,6 +445,9 @@ ADMISSIBLE_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 # Recorded before parsing shared equal subtrees and the lasso search ran one scan per frame size.
 UNIFORM_POOL_STDOUT_SHA256 = "22107a8044e5ee55a60d0d16566609b71e1965474f0883e7b81ed4d7a564d477"
 ADMISSIBLE_POOL_STDOUT_SHA256 = "4e00143f0981d6f9fe7aa8c03e35efcdc7f795bcca69791ea0be100c69b96853"
+# At these caps 6 of the 48 entries are refuted, against 12 at the default caps.
+ADMISSIBLE_POOL_TIGHT_CAPS = ("--max-worlds", "2", "--max-atoms", "2")
+ADMISSIBLE_POOL_TIGHT_STDOUT_SHA256 = "56ff46fbee3884d30824361cd15db6a5f66d24471510e2a4bfff203b44cdde01"
 
 
 def test_decide_and_sat_keep_their_bytes_on_the_uniform_pool(capsys):
@@ -454,12 +457,19 @@ def test_decide_and_sat_keep_their_bytes_on_the_uniform_pool(capsys):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == UNIFORM_POOL_STDOUT_SHA256
 
 
-def test_admissible_keeps_its_bytes_on_the_admissible_pool(capsys):
+@pytest.mark.parametrize(
+    "caps, digest",
+    [((), ADMISSIBLE_POOL_STDOUT_SHA256), (ADMISSIBLE_POOL_TIGHT_CAPS, ADMISSIBLE_POOL_TIGHT_STDOUT_SHA256)],
+    ids=["default-caps", "tight-caps"],
+)
+def test_admissible_keeps_its_bytes_on_the_admissible_pool(capsys, caps, digest):
     entries = json.loads(ADMISSIBLE_POOL.read_text())["entries"]
-    argvs = [("admissible", "--m", str(e["m"]), "--rule", e["rule"], "--depth", str(e["depth"])) for e in entries]
+    argvs = [
+        ("admissible", "--m", str(e["m"]), "--rule", e["rule"], "--depth", str(e["depth"]), *caps) for e in entries
+    ]
     outs = [run(capsys, *argv)[1] for argv in argvs]
     assert len(outs) == 48
-    assert hashlib.sha256("".join(outs).encode()).hexdigest() == ADMISSIBLE_POOL_STDOUT_SHA256
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
 
 
 def test_admissible_keeps_its_bytes_with_its_records_cached(capsys):

@@ -1,5 +1,6 @@
 """Parser, printer, derived operators and structural measures."""
 
+import gc
 import random
 import re
 import sys
@@ -446,6 +447,18 @@ def test_reach_examples():
     assert reach(p, 3) == 0
     assert reach(Next(p), 3) == 1
     assert reach(Next(Until(p, q)), 2) == 3
+
+
+def test_letters_of_and_reach_leave_no_cycle_to_collect():
+    f = parse_formula("X (p U q) & !(q U X p)")
+    gc.collect()
+    gc.disable()  # garbage left by the calls below waits for the explicit collection
+    try:
+        for _ in range(20):
+            assert letters_of(f) == ("p", "q") and reach(f, 2) == 3
+        assert gc.collect() == 0  # refcounting freed every memo and walker
+    finally:
+        gc.enable()
 
 
 def _temporal_depth(f: Formula) -> int:
