@@ -610,7 +610,7 @@ def test_the_kind_reader_reads_what_decide_gives(caps):
                 sub = {a: rng.choice(candidates) for a in rule.letters}
                 instance = apply_substitution(f, sub)
                 want = decide_uniform_theorem(instance, m, **cap).kind
-                kind, letters, width = kinds.read(apply_substitution(f, sub), f)
+                kind, letters, width = kinds.read(instance, f)
                 assert kind is want, (instance, m, cap)
                 conjuncts = admissibility._conjuncts(f)
                 readings = [kinds.read(apply_substitution(c, sub), c) for c in conjuncts]
