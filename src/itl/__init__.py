@@ -20,19 +20,24 @@ from .admissibility import (
     search_refuting_substitution,
     substitution_pool,
 )
-from .decide import (
+from .check import (
     Countermodel,
     SearchCaps,
     Verdict,
     VerdictKind,
-    bounded_nt_refutation,
     check_certificate,
+    eval_nt,
+    formula_valid_in_model,
+    rule_valid_in_model,
+    verdict_from_dict,
+    verdict_to_dict,
+)
+from .decide import (
+    bounded_nt_refutation,
     decide_uniform_satisfiable,
     decide_uniform_theorem,
     finite_model_size_bound,
     iter_lasso_frames,
-    verdict_from_dict,
-    verdict_to_dict,
 )
 from .frames import (
     FiniteLassoFrame,
@@ -57,15 +62,7 @@ from .normalform import (
     match_reduced_form,
     to_reduced_normal_form,
 )
-from .semantics import (
-    ClassicLassoModel,
-    classic_valid_in_model,
-    eval_classic,
-    eval_nt,
-    formula_valid_in_model,
-    rule_valid_in_frame,
-    rule_valid_in_model,
-)
+from .semantics import ClassicLassoModel, classic_valid_in_model, eval_classic, rule_valid_in_frame
 from .syntax import (
     FALSE,
     TRUE,

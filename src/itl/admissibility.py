@@ -69,15 +69,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Mapping, Optional
 
-from .decide import (
-    ONE_WORD_BITS,
-    Verdict,
-    VerdictKind,
-    decide_uniform_theorem,
-    uniform_window,
-    verdict_to_dict,
-    window_fits,
-)
+from .check import Verdict, VerdictKind, verdict_to_dict
+from .decide import ONE_WORD_BITS, decide_uniform_theorem, uniform_window, window_fits
 from .frames import UniformWindowFrame
 from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS, MAX_PRINTED_DIGITS
 from .syntax import (

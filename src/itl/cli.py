@@ -20,7 +20,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import admissibility, decide, knowledge, normalform, syntax
+from . import admissibility, check, decide, knowledge, normalform, syntax
+from .check import eval_nt, rule_valid_in_model
 from .frames import (
     FrameError,
     Model,
@@ -34,7 +35,7 @@ from .frames import (
     vote,
 )
 from .limits import MAX_PRINTED_DIGITS, ResourceCapError
-from .semantics import eval_nt, rule_valid_in_frame, rule_valid_in_model
+from .semantics import rule_valid_in_frame
 from .syntax import DERIVED_OP_NAMES, KSince, parse_formula, parse_rule, print_formula, print_rule
 
 
@@ -176,8 +177,8 @@ def _cmd_vote(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    verdict = decide.verdict_from_dict(read_json(sys.stdin if args.file == "-" else args.file))
-    ok = decide.check_certificate(verdict)
+    verdict = check.verdict_from_dict(read_json(sys.stdin if args.file == "-" else args.file))
+    ok = check.check_certificate(verdict)
     _emit({"ok": ok})
     return 0 if ok else 1
 

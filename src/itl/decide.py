@@ -15,71 +15,40 @@ frames of one size together, as one run, and a target without an Until only
 on the all-ones reach vector, since no other node reads reach.
 
 Every negative or satisfiable verdict carries a certificate (model + world +
-target) that :func:`check_certificate` re-evaluates independently.
+target) that :func:`~itl.check.check_certificate` re-evaluates independently.
+The verdict and certificate types, their JSON form and the checker live in
+:mod:`itl.check`, apart from the search; they are imported here under their
+old names.  :class:`~itl.tables.LassoRun` lives with the engine in
+:mod:`itl.tables`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
-from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .frames import FiniteLassoFrame, LassoRun, Model, UniformWindowFrame, int_field, model_from_dict, model_to_dict
-from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
-from .semantics import eval_nt, formula_valid_in_model, rule_refutation_mask
-from .syntax import (
-    Formula,
-    Rule,
-    Until,
-    _post_order,
-    letters_of,
-    parse_formula,
-    parse_rule,
-    print_formula,
-    print_rule,
-    reach,
-    read_set,
+from .check import (  # re-exported from their old module
+    Countermodel,
+    SearchCaps,
+    Verdict,
+    VerdictKind,
+    check_certificate,
+    countermodel_from_dict,
+    countermodel_to_dict,
+    eval_nt,
+    verdict_from_dict,
+    verdict_to_dict,
+    verdict_to_json,
 )
-from .tables import decode_valuation, scan_valuations
-
-
-class VerdictKind(Enum):
-    THEOREM = "theorem"
-    NON_THEOREM = "non_theorem"
-    SATISFIABLE = "satisfiable"
-    UNSATISFIABLE = "unsatisfiable"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class SearchCaps:
-    """Record of the ceilings a search ran under."""
-
-    max_worlds: Optional[int] = None
-    max_reach: Optional[int] = None
-    max_atoms: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Countermodel:
-    """A model and world refuting (or, for satisfiability, witnessing) the target."""
-
-    model: Model
-    world: int
-    target: Union[Formula, Rule]
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    certificate: Optional[Countermodel] = None
-    caps: Optional[SearchCaps] = None
+from .frames import FiniteLassoFrame, Model, UniformWindowFrame
+from .limits import DEFAULT_MAX_ATOMS, DEFAULT_MAX_WORLDS
+from .semantics import rule_refutation_mask
+from .syntax import Formula, Rule, Until, _post_order, letters_of, reach, read_set
+from .tables import LassoRun, decode_valuation, scan_valuations
 
 
 def _first_failure_world(model: Model, f: Formula) -> int:
@@ -269,97 +238,3 @@ def finite_model_size_bound(n: int, l: int) -> int:
         raise ValueError("letter and disjunct counts must be >= 1")
     nl = n * l
     return nl * l**nl * factorial(nl) + l**nl
-
-
-def check_certificate(verdict: Verdict) -> bool:
-    """Re-evaluate a verdict's certificate and confirm the claim it encodes.
-
-    NonTheorem formula certificates must falsify the target at the stated
-    world; rule certificates must validate every premise while the
-    conclusion fails at the world; Satisfiable witnesses must verify the
-    target.  Raises ValueError when the verdict carries no certificate.
-    """
-    cm = verdict.certificate
-    if cm is None:
-        raise ValueError(f"{verdict.kind.value} verdict carries no certificate")
-    if not 0 <= cm.world < cm.model.frame.worlds:
-        return False
-    if isinstance(cm.target, Rule):
-        if verdict.kind is not VerdictKind.NON_THEOREM:
-            return False
-        premises_hold = all(formula_valid_in_model(cm.model, p) for p in cm.target.premises)
-        return premises_hold and not eval_nt(cm.model, cm.world, cm.target.conclusion)
-    if verdict.kind is VerdictKind.NON_THEOREM:
-        return not eval_nt(cm.model, cm.world, cm.target)
-    if verdict.kind is VerdictKind.SATISFIABLE:
-        return eval_nt(cm.model, cm.world, cm.target)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Serialization: certificates are the model file plus world and target text;
-# verdicts add the kind and the caps the search ran under.
-# ---------------------------------------------------------------------------
-
-
-def countermodel_to_dict(cm: Countermodel) -> dict:
-    data = model_to_dict(cm.model)
-    data["world"] = cm.world
-    data["target"] = print_rule(cm.target) if isinstance(cm.target, Rule) else print_formula(cm.target)
-    return data
-
-
-def countermodel_from_dict(data: Mapping) -> Countermodel:
-    model = model_from_dict(data)
-    if not isinstance(model, Model):
-        raise ValueError("certificates use single-valuation models")
-    text = data["target"]
-    if not isinstance(text, str):
-        raise ValueError("a certificate's target must be formula or rule text")
-    target: Union[Formula, Rule] = parse_rule(text) if "/" in text else parse_formula(text)
-    return Countermodel(model, int_field(data["world"], "a certificate's world"), target)
-
-
-def _caps_to_dict(caps: SearchCaps) -> dict:
-    return {key: value for key, value in asdict(caps).items() if value is not None}
-
-
-def _caps_from_dict(data) -> SearchCaps:
-    if not isinstance(data, Mapping):
-        raise ValueError("caps must be an object")
-    unknown = sorted(set(data) - {f.name for f in fields(SearchCaps)})
-    if unknown:
-        raise ValueError(f"unknown caps keys: {', '.join(unknown)}")
-    caps = {}
-    for key, value in data.items():
-        if value is not None:
-            value = int_field(value, f"caps {key}")
-            if value < 0:
-                raise ValueError(f"caps {key} must be >= 0, got {value}")
-        caps[key] = value
-    return SearchCaps(**caps)
-
-
-def verdict_to_dict(verdict: Verdict) -> dict:
-    return {
-        "verdict": verdict.kind.value,
-        "certificate": countermodel_to_dict(verdict.certificate) if verdict.certificate else None,
-        "caps": _caps_to_dict(verdict.caps) if verdict.caps else None,
-    }
-
-
-def verdict_from_dict(data: Mapping) -> Verdict:
-    if not isinstance(data, Mapping):
-        raise ValueError("a verdict must be a JSON object")
-    kind = VerdictKind(data["verdict"])
-    cert = data.get("certificate")
-    caps = data.get("caps")
-    return Verdict(
-        kind,
-        countermodel_from_dict(cert) if cert else None,
-        None if caps is None else _caps_from_dict(caps),
-    )
-
-
-def verdict_to_json(verdict: Verdict) -> str:
-    return json.dumps(verdict_to_dict(verdict), sort_keys=True)

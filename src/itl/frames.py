@@ -5,9 +5,9 @@ segment of the uniform-memory line: world ``a`` sees the interval
 ``[a, a+m]``.  A :class:`FiniteLassoFrame` is a Next-chain whose last world
 loops back to ``loop``, with a per-world reach length ``d_i`` giving how many
 Next-steps world ``i`` can see; windows follow the Next path and may wrap
-through the loop edge.  A :class:`LassoRun` holds lasso frames of one size,
-loop target by loop target and reach vector by reach vector, so that the
-batch engine can evaluate them together.
+through the loop edge.  The batch engine's run of lasso frames of one size,
+:class:`~itl.tables.LassoRun`, lives with the engine in :mod:`itl.tables`, so
+this module does not import numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import IO, Mapping, Union
-
-import numpy as np
 
 
 class FrameError(ValueError):
@@ -101,41 +99,6 @@ class FiniteLassoFrame:
             w = self.next_world(w)
             out.append(w)
         return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
-class LassoRun:
-    """Every lasso frame of one size, side by side: each loop target with each reach vector.
-
-    With ``R = len(reaches)``, frame ``i`` of the run is
-    ``FiniteLassoFrame(worlds, i // R, reaches[i % R])``: loop targets
-    ``0 .. worlds - 1`` outermost, then reach vectors.  The frames share
-    their worlds; frames with the same loop share Next and the path of every
-    window, and they differ only in how far each world's window reaches.
-    ``reaches`` is kept once, as a read-only ``(R, worlds)`` integer array,
-    which the batch engine reads as is.
-    """
-
-    worlds: int
-    reaches: np.ndarray
-
-    def __post_init__(self) -> None:
-        reaches = np.array(self.reaches, dtype=np.int64)
-        if self.worlds < 1:
-            raise FrameError("a frame needs at least one world")
-        if reaches.ndim != 2 or reaches.shape[0] < 1 or reaches.shape[1] != self.worlds:
-            raise FrameError(f"a run needs one or more vectors of {self.worlds} reach lengths")
-        if (reaches[:, 1:] < reaches[:, :-1]).any() or reaches[:, 0].min() < 1 or reaches[:, -1].max() > self.worlds:
-            raise FrameError("reach lengths must lie in 1..worlds and be non-decreasing")
-        reaches.flags.writeable = False
-        object.__setattr__(self, "reaches", reaches)
-
-    def __len__(self) -> int:
-        return self.worlds * len(self.reaches)
-
-    def frame(self, i: int) -> FiniteLassoFrame:
-        loop, row = divmod(i, len(self.reaches))
-        return FiniteLassoFrame(self.worlds, loop, tuple(int(d) for d in self.reaches[row]))
 
 
 Frame = Union[UniformWindowFrame, FiniteLassoFrame]

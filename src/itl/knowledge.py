@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .check import eval_nt
 from .frames import Model, MultiAgentModel, UniformWindowFrame, vote
-from .semantics import eval_nt
 from .syntax import And, DerivedOp, Formula, Implies, Next, Not, box, diamond, expand_derived, reach
 
 

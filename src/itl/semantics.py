@@ -1,12 +1,12 @@
-"""Truth evaluation under bounded-window semantics, plus a classic-LTL oracle.
+"""Rule validity over frames, plus a classic-LTL oracle.
 
-The window evaluator (:func:`eval_nt`) reads Until with a witness inside the
-current world's window only: ``f U g`` holds at ``a`` iff some world ``b``
-visible from ``a`` (in path order) satisfies ``g`` while every world strictly
-before ``b`` on that path satisfies ``f``.  The witness may be ``a`` itself,
-so ``q -> (p U q)`` is valid.  :func:`eval_classic` is the usual unbounded
-semantics on an ultimately periodic model and serves as a differential
-oracle: the two evaluators agree on Next-only formulas and split on Until.
+:func:`rule_valid_in_frame` checks a rule under every valuation of its
+letters with the batch tables of :mod:`itl.tables`.  :func:`eval_classic` is
+the usual unbounded semantics on an ultimately periodic model and serves as a
+differential oracle to the window evaluator: the two agree on Next-only
+formulas and split on Until.  The window evaluator :func:`eval_nt` and its
+model-level forms live in :mod:`itl.check`, the certificate checker, and are
+imported here under their old names.
 """
 
 from __future__ import annotations
@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import normalform, tables
-from .frames import (
-    Frame,
-    FrameError,
-    Model,
-    UniformWindowFrame,
-    Valuation,
-    WindowOverflowError,
-)
+from .check import eval_nt, formula_valid_in_model, rule_valid_in_model  # re-exported from their old module
+from .frames import Frame, FrameError, UniformWindowFrame, Valuation, WindowOverflowError
 from .limits import DEFAULT_MAX_ATOMS, ResourceCapError
 from .syntax import (
     And,
@@ -39,90 +33,6 @@ from .syntax import (
     reach,
     subformulas,
 )
-
-
-def _check_window_fit(frame: Frame, a: int, f: Formula) -> None:
-    if not 0 <= a < frame.worlds:
-        raise FrameError(f"world {a} out of range for {frame.worlds} worlds")
-    if isinstance(frame, UniformWindowFrame):
-        horizon = reach(f, frame.measure)
-        if a + horizon > frame.worlds - 1:
-            raise WindowOverflowError(
-                f"formula needs worlds up to {a + horizon}, frame ends at {frame.worlds - 1}"
-            )
-
-
-def eval_nt(model: Model, a: int, f: Formula) -> bool:
-    """Truth of ``f`` at world ``a`` under window semantics."""
-    _check_window_fit(model.frame, a, f)
-    return _eval(model.frame, model.valuation, a, f, {})
-
-
-def _eval(frame: Frame, valuation: Valuation, a: int, f: Formula, memo: dict) -> bool:
-    key = (id(f), a)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(f, Letter):
-        value = valuation.holds(f.name, a)
-    elif isinstance(f, TrueBool):
-        value = True
-    elif isinstance(f, FalseBool):
-        value = False
-    elif isinstance(f, Not):
-        value = not _eval(frame, valuation, a, f.arg, memo)
-    elif isinstance(f, And):
-        value = _eval(frame, valuation, a, f.left, memo) and _eval(frame, valuation, a, f.right, memo)
-    elif isinstance(f, Or):
-        value = _eval(frame, valuation, a, f.left, memo) or _eval(frame, valuation, a, f.right, memo)
-    elif isinstance(f, Implies):
-        value = (not _eval(frame, valuation, a, f.left, memo)) or _eval(frame, valuation, a, f.right, memo)
-    elif isinstance(f, Next):
-        value = _eval(frame, valuation, frame.next_world(a), f.arg, memo)
-    elif isinstance(f, Until):
-        value = False
-        for b in frame.window(a):
-            if _eval(frame, valuation, b, f.right, memo):
-                value = True
-                break
-            if not _eval(frame, valuation, b, f.left, memo):
-                break
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = value
-    return value
-
-
-def formula_valid_in_model(model: Model, f: Formula) -> bool:
-    """True iff ``f`` holds at every world.
-
-    On uniform frames this requires the formula's window to fit at every
-    world, which only reach-0 formulas satisfy; temporal formulas should be
-    checked through the decision procedures instead.  Of the worlds whose
-    window fits, only those whose window meets a listed world are evaluated,
-    plus one whose window meets none, as all of those agree; the result is
-    the world-by-world loop's, False or :class:`WindowOverflowError`.
-    """
-    frame = model.frame
-    if not isinstance(frame, UniformWindowFrame):
-        return all(eval_nt(model, a, f) for a in range(frame.worlds))
-    horizon = reach(f, frame.measure)
-    last = frame.worlds - 1 - horizon  # the last world the window fits at
-    listed = set().union(*model.valuation.true_worlds.values())
-    worlds = {a for b in listed for a in range(max(b - horizon, 0), min(b, last) + 1)}
-    quiet = [a for a in (0, *(b + 1 for b in listed)) if a <= last and a not in worlds]
-    if not all(eval_nt(model, a, f) for a in [*worlds, *quiet[:1]]):
-        return False
-    if horizon:
-        eval_nt(model, max(last + 1, 0), f)  # the first world the window overflows at: raises
-    return True
-
-
-def rule_valid_in_model(model: Model, rule: Rule) -> bool:
-    """False exactly when every premise holds at all worlds but the conclusion fails somewhere."""
-    if not all(formula_valid_in_model(model, p) for p in rule.premises):
-        return True
-    return formula_valid_in_model(model, rule.conclusion)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,7 @@ def read_set(f: Formula, m: int) -> dict[str, int]:
                 go(child, new)
 
     go(f, 1)
+    del go  # as in letters_of: no cycle is left for the collector
     return out
 
 

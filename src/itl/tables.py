@@ -3,7 +3,8 @@
 A valuation over ``n`` letters and ``W`` worlds is encoded as an integer
 code: letter ``i`` is true at world ``a`` in valuation ``v`` iff bit
 ``i*W + a`` of ``v`` is set.  The engine evaluates one frame, or a
-:class:`~itl.frames.LassoRun` of lasso frames of one size.
+:class:`LassoRun` of lasso frames of one size, which lives here with the
+engine, its only reader, rather than in :mod:`itl.frames`.
 
 Inside the engine a valuation is a code over a strictly increasing list
 ``kept`` of these full-layout bits, every bit by default (``range(n*W)``):
@@ -66,12 +67,13 @@ search results reproducible.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .frames import Frame, LassoRun, UniformWindowFrame, Valuation
+from .frames import FiniteLassoFrame, Frame, FrameError, UniformWindowFrame, Valuation
 from .limits import DEFAULT_CHUNK_BITS
 from .syntax import And, FalseBool, Formula, Implies, Letter, Next, Not, Or, TrueBool, Until
 
@@ -84,6 +86,42 @@ _LOW_MASKS = tuple(
 
 # The valid word of a frame of 2**N < 64 valuations.
 _SHORT_VALID = tuple(np.uint64((1 << (1 << n)) - 1) for n in range(6))
+
+
+@dataclass(frozen=True, eq=False)
+class LassoRun:
+    """Every lasso frame of one size, side by side: each loop target with each reach vector.
+
+    With ``R = len(reaches)``, frame ``i`` of the run is
+    ``FiniteLassoFrame(worlds, i // R, reaches[i % R])``: loop targets
+    ``0 .. worlds - 1`` outermost, then reach vectors.  The frames share
+    their worlds; frames with the same loop share Next and the path of every
+    window, and they differ only in how far each world's window reaches.
+    ``reaches`` is kept once, as a read-only ``(R, worlds)`` integer array,
+    which the batch engine reads as is.
+    """
+
+    worlds: int
+    reaches: np.ndarray
+
+    def __post_init__(self) -> None:
+        reaches = np.array(self.reaches, dtype=np.int64)
+        if self.worlds < 1:
+            raise FrameError("a frame needs at least one world")
+        if reaches.ndim != 2 or reaches.shape[0] < 1 or reaches.shape[1] != self.worlds:
+            raise FrameError(f"a run needs one or more vectors of {self.worlds} reach lengths")
+        if (reaches[:, 1:] < reaches[:, :-1]).any() or reaches[:, 0].min() < 1 or reaches[:, -1].max() > self.worlds:
+            raise FrameError("reach lengths must lie in 1..worlds and be non-decreasing")
+        reaches.flags.writeable = False
+        object.__setattr__(self, "reaches", reaches)
+
+    def __len__(self) -> int:
+        return self.worlds * len(self.reaches)
+
+    def frame(self, i: int) -> FiniteLassoFrame:
+        loop, row = divmod(i, len(self.reaches))
+        return FiniteLassoFrame(self.worlds, loop, tuple(int(d) for d in self.reaches[row]))
+
 
 Frames = Union[Frame, LassoRun]
 
@@ -188,7 +226,7 @@ class _Layout:
 class BatchEvaluator:
     """Packed truth tables for one frame or run and one block of valuation codes.
 
-    ``frame`` is a frame or a :class:`~itl.frames.LassoRun`, and ``indices``
+    ``frame`` is a frame or a :class:`LassoRun`, and ``indices``
     a contiguous ``range`` of its codes over the kept bits of ``layout``
     (every bit when None; :func:`scan_valuations` passes the layout of its
     scan) in the frame-major numbering of the module docstring.  The
@@ -340,7 +378,7 @@ def scan_valuations(
     """First valuation code flagged by ``fail_mask``, or None.
 
     Scans every valuation of every frame of ``frame`` (a frame or a
-    :class:`~itl.frames.LassoRun`) in code order, so for a run the result
+    :class:`LassoRun`) in code order, so for a run the result
     ``g`` is valuation ``g mod 2**N`` of frame ``g >> N``, ``N`` being
     ``len(letters) * frame.worlds``.  ``fail_mask`` receives a
     :class:`BatchEvaluator` for one block and returns a packed hit vector

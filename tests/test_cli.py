@@ -666,6 +666,12 @@ def test_verify_rejects_certificate_fields_of_the_wrong_type(tmp_path, capsys, f
     assert err.startswith("error:") and err.count("\n") == 1 and field in err
 
 
+def test_verify_answers_a_certificate_whose_window_overruns_its_frame(tmp_path, capsys):
+    cert = dict(_CERTIFICATE, frame={"kind": "uniform", "worlds": 1, "measure": 1}, target="X p")
+    path = write_model(tmp_path, "verdict.json", {"verdict": "non_theorem", "certificate": cert, "caps": None})
+    assert run(capsys, "verify", path) == (1, '{"ok": false}\n', "")
+
+
 def test_verify_reads_an_integer_world_written_as_a_number_string(tmp_path, capsys):
     cert = dict(_CERTIFICATE, world="0")
     path = write_model(tmp_path, "verdict.json", {"verdict": "non_theorem", "certificate": cert, "caps": None})

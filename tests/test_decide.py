@@ -353,6 +353,19 @@ def test_bogus_certificate_rejected():
     assert not check_certificate(bogus)
 
 
+@pytest.mark.parametrize(
+    "kind, target",
+    [
+        (VerdictKind.NON_THEOREM, parse_formula("X p")),
+        (VerdictKind.SATISFIABLE, parse_formula("p U q")),
+        (VerdictKind.NON_THEOREM, parse_rule("X p / p")),  # the premise's window overruns at the last world
+    ],
+)
+def test_certificate_whose_window_overruns_its_frame_rejected(kind, target):
+    model = Model(UniformWindowFrame(1, 1), Valuation({"p": frozenset({0})}))
+    assert not check_certificate(Verdict(kind, Countermodel(model, 0, target)))
+
+
 def test_verdict_without_certificate_rejected():
     with pytest.raises(ValueError):
         check_certificate(Verdict(VerdictKind.THEOREM))

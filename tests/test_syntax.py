@@ -456,6 +456,7 @@ def test_letters_of_and_reach_leave_no_cycle_to_collect():
     try:
         for _ in range(20):
             assert letters_of(f) == ("p", "q") and reach(f, 2) == 3
+            assert read_set(f, 2) == {"p": 0b1110, "q": 0b1111}
         assert gc.collect() == 0  # refcounting freed every memo and walker
     finally:
         gc.enable()

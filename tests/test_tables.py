@@ -16,10 +16,9 @@ from itl import (
     reach,
 )
 from itl.decide import iter_lasso_frames, iter_lasso_runs
-from itl.frames import LassoRun
 from itl.limits import DEFAULT_CHUNK_BITS
 from itl.syntax import letters_of
-from itl.tables import BatchEvaluator, decode_valuation, scan_valuations, unpack
+from itl.tables import BatchEvaluator, LassoRun, decode_valuation, scan_valuations, unpack
 
 from helpers import random_formula, random_lasso_frame
 
